@@ -27,7 +27,6 @@ __all__ = [
     "backward",
     "concat_scalars",
     "constant",
-    "dot",
     "finite_diff_check",
     "matmul",
     "mul",
@@ -96,34 +95,6 @@ class Tensor:
             return (np.full(shape, float(g)),)
 
         return apply_op(np.asarray(self.data.sum()), (self,), vjp)
-
-    # operator sugar; plain numbers/arrays are wrapped as constants
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __abs__(self):
-        return absval(self)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -312,18 +283,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul supports 2-D @ 2-D or 2-D @ 1-D, got {ad.shape} @ {bd.shape}"
         )
     return apply_op(ad @ bd, (a, b), vjp)
-
-
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    ad, bd = a.data, b.data
-    if ad.ndim != 1 or bd.ndim != 1 or ad.shape != bd.shape:
-        raise ShapeError(f"dot expects equal-length vectors, got {ad.shape}, {bd.shape}")
-
-    def vjp(g):
-        s = float(g)
-        return (s * bd, s * ad)
-
-    return apply_op(np.asarray(ad @ bd), (a, b), vjp)
 
 
 def outer(a: Tensor, b: Tensor) -> Tensor:

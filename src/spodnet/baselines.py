@@ -135,12 +135,8 @@ def _update_block(theta: np.ndarray, w: np.ndarray, sd: np.ndarray, i: int,
         if not moved:
             break
 
-    theta_new = theta.copy()
-    theta_new[rest, i] = x
-    theta_new[i, rest] = x
-    theta_new[i, i] = float(x @ mx) + v_target
-    w_new = core.w_plus_np(m, x, v_target, i)
-    return theta_new, w_new
+    return (core.theta_plus_np(theta, i, x, v_target, m),
+            core.w_plus_np(m, x, v_target, i))
 
 
 def glasso_solve(s, cfg: GlassoConfig, objective_trace: list | None = None
@@ -155,9 +151,8 @@ def glasso_solve(s, cfg: GlassoConfig, objective_trace: list | None = None
     p = sd.shape[0]
     if np.any(np.diag(sd) <= 0.0):
         raise ValueError("covariance diagonal must be strictly positive")
-    shifted = sd + np.eye(p)
-    theta = linalg.spd_inverse(shifted)
-    w = 0.5 * (shifted + shifted.T)
+    start = core.initial_state(sd)
+    theta, w = start.theta.data, start.w.data
     obj = glasso_objective(theta, sd, cfg.lam)
     if objective_trace is not None:
         objective_trace.append(obj)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, core, datagen, linalg, models, training
+from . import baselines, core, datagen, models, training
 
 __all__ = ["main"]
 
@@ -77,30 +77,16 @@ def _map_entries(fn, entries, threads: int):
         return list(pool.map(fn, entries))
 
 
-def _score_estimates(entries, estimates, method: str) -> dict:
-    rows = []
-    for idx, (entry, est) in enumerate(zip(entries, estimates)):
-        lo, _, cond = linalg.eig_diagnostics(est)
-        denom = float((entry.theta_true ** 2).sum())
-        rows.append({
-            "sample_id": idx,
-            "method": method,
-            "nmse": float(((est - entry.theta_true) ** 2).sum()) / denom,
-            "f1": training.f1_support(est, entry.theta_true),
-            "min_eig": lo,
-            "cond": cond,
-            "density": training.offdiag_density(est),
-            "spd": bool(lo > 0.0),
-        })
-    agg = {
-        "nmse": float(np.mean([r["nmse"] for r in rows])),
-        "f1": float(np.mean([r["f1"] for r in rows])),
-        "min_eig": float(np.min([r["min_eig"] for r in rows])),
-        "max_cond": float(np.max([r["cond"] for r in rows])),
-        "density": float(np.mean([r["density"] for r in rows])),
-        "all_spd": bool(all(r["spd"] for r in rows)),
-    }
-    return {"method": method, "samples": rows, "aggregates": agg}
+def _write_report(out, entries, estimates, method: str) -> None:
+    """Score the estimates, tag them with ``method`` and write the report."""
+    report = training.score_estimates(entries, estimates)
+    for row in report["samples"]:
+        row["method"] = method
+    report["method"] = method
+    _json_dump(out, report)
+    agg = report["aggregates"]
+    print(f"method={method} nmse={agg['nmse']:.6f} f1={agg['f1']:.4f} "
+          f"all_spd={agg['all_spd']} out={out}")
 
 
 # -- subcommands -------------------------------------------------------------
@@ -178,11 +164,7 @@ def cmd_eval(args) -> int:
         return state.theta.data
 
     estimates = _map_entries(one, ds.entries, threads)
-    report = _score_estimates(ds.entries, estimates, f"model:{params.variant}")
-    _json_dump(out, report)
-    agg = report["aggregates"]
-    print(f"method={report['method']} nmse={agg['nmse']:.6f} f1={agg['f1']:.4f} "
-          f"all_spd={agg['all_spd']} out={out}")
+    _write_report(out, ds.entries, estimates, f"model:{params.variant}")
     return EXIT_OK
 
 
@@ -232,11 +214,7 @@ def cmd_baseline(args) -> int:
         raise UsageError(f"unknown method {method!r}")
 
     estimates = _map_entries(one, ds.entries, threads)
-    report = _score_estimates(ds.entries, estimates, method)
-    _json_dump(out, report)
-    agg = report["aggregates"]
-    print(f"method={method} nmse={agg['nmse']:.6f} f1={agg['f1']:.4f} "
-          f"all_spd={agg['all_spd']} out={out}")
+    _write_report(out, ds.entries, estimates, method)
     return EXIT_OK
 
 
@@ -250,6 +228,8 @@ def cmd_diagnose(args) -> int:
     if ds.config.p != params.p:
         raise UsageError(f"checkpoint has p={params.p} but dataset has "
                          f"p={ds.config.p}")
+    if args.limit < 0:
+        raise UsageError(f"--limit must be >= 0, got {args.limit}")
     entries = ds.entries[:args.limit] if args.limit else ds.entries
     if not entries:
         raise UsageError("--data: dataset is empty")
@@ -264,11 +244,10 @@ def cmd_diagnose(args) -> int:
                          "min_eig", "max_diag", "cond"))
         for idx, entry in enumerate(entries):
             events = training.collect_update_events(params, entry.s, layer_cfg)
-            for ev in events:
-                lo, _, cond = linalg.eig_diagnostics(ev.theta_after)
+            trace = training.spectral_trace([ev.theta_after for ev in events])
+            for ev, (_, lo, max_diag, cond) in zip(events, trace):
                 writer.writerow((idx, ev.layer, ev.step, ev.i, repr(lo),
-                                 repr(float(np.diag(ev.theta_after).max())),
-                                 repr(cond)))
+                                 repr(max_diag), repr(cond)))
                 lam_hi, lam_lo = core.rank2_delta_eigs(ev.col_diff, ev.diag_diff)
                 ok, excess = core.bauer_fike_check(
                     ev.theta_before, ev.theta_after,

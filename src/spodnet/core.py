@@ -42,7 +42,6 @@ __all__ = [
     "SpdViolation",
     "UpdateEvent",
     "UpdateFns",
-    "assemble_theta_plus",
     "assemble_w_plus",
     "bauer_fike_check",
     "block11",
@@ -125,7 +124,7 @@ class SpdState:
             raise SpdViolation(f"state matrix is not PD: {exc}") from exc
         resid = float(np.abs(td @ wd - np.eye(self.p)).max())
         cond_inf = float(np.abs(td).sum(axis=1).max() * np.abs(wd).sum(axis=1).max())
-        if resid > PAIR_RESIDUAL_RTOL * max(cond_inf, 1.0):
+        if not np.isfinite(resid) or resid > PAIR_RESIDUAL_RTOL * max(cond_inf, 1.0):
             raise SpdViolation(
                 f"inverse pair drifted: residual {resid:.3e} vs cond {cond_inf:.3e}"
             )
@@ -174,15 +173,9 @@ class UpdateEvent:
 
 
 @lru_cache(maxsize=None)
-def _rest(p: int, i: int) -> np.ndarray:
-    rest = np.concatenate([np.arange(i), np.arange(i + 1, p)])
-    rest.setflags(write=False)
-    return rest
-
-
-@lru_cache(maxsize=None)
 def _rest_grid(p: int, i: int) -> tuple[np.ndarray, np.ndarray]:
-    grid = np.ix_(_rest(p, i), _rest(p, i))
+    rest = linalg.rest_indices(p, i)
+    grid = np.ix_(rest, rest)
     for a in grid:
         a.setflags(write=False)
     return grid
@@ -199,7 +192,7 @@ def _scalar(t) -> float:
 def col_off(a: Tensor, i: int) -> Tensor:
     """Off-diagonal part of column ``i`` as a length p-1 tensor."""
     ad_ = a.data
-    rest = _rest(ad_.shape[0], i)
+    rest = linalg.rest_indices(ad_.shape[0], i)
 
     def vjp(g):
         out = np.zeros_like(ad_)
@@ -239,7 +232,7 @@ def embed_blocks(b11: Tensor, col: Tensor, diag: Tensor, i: int) -> Tensor:
     pivot diagonal; the column is written to both the row and the column,
     so its adjoint collects both sides."""
     p = b11.data.shape[0] + 1
-    rest = _rest(p, i)
+    rest = linalg.rest_indices(p, i)
     grid = _rest_grid(p, i)
     out = np.empty((p, p), dtype=np.float64)
     out[grid] = b11.data
@@ -280,22 +273,12 @@ def theta11_inverse(w11: Tensor, w12: Tensor, w22: Tensor) -> Tensor:
 
 def theta11_inverse_np(w: np.ndarray, i: int) -> np.ndarray:
     """Numpy twin of :func:`theta11_inverse`, reading blocks from ``w``."""
-    rest = _rest(w.shape[0], i)
+    rest = linalg.rest_indices(w.shape[0], i)
     w22 = w[i, i]
     if not w22 > 0.0:
         raise SpdViolation("inverse pivot w22 is not positive")
     w12 = w[rest, i]
     return w[_rest_grid(w.shape[0], i)] - np.outer(w12, w12) / w22
-
-
-def assemble_theta_plus(theta: Tensor, i: int, u: Tensor, v: Tensor,
-                        theta11_inv: Tensor) -> Tensor:
-    """Write column/row ``i`` to ``u`` and pin the pivot diagonal so the
-    updated matrix has Schur margin exactly ``v``; SPD for any u, v > 0."""
-    if not _scalar(v) > 0.0:
-        raise ValueError("margin v must be strictly positive")
-    q = ad.quadratic_form(u, theta11_inv)
-    return embed_blocks(block11(theta, i), u, ad.add(v, q), i)
 
 
 def assemble_w_plus(theta11_inv: Tensor, u: Tensor, v: Tensor, i: int) -> Tensor:
@@ -311,13 +294,15 @@ def assemble_w_plus(theta11_inv: Tensor, u: Tensor, v: Tensor, i: int) -> Tensor
 
 def theta_plus_np(theta: np.ndarray, i: int, u: np.ndarray, v: float,
                   theta11_inv: np.ndarray) -> np.ndarray:
+    """Write column/row ``i`` to ``u`` and pin the pivot diagonal so the
+    updated matrix has Schur margin exactly ``v``; SPD for any u, v > 0."""
     if not v > 0.0:
         raise ValueError("margin v must be strictly positive")
-    rest = _rest(theta.shape[0], i)
+    rest = linalg.rest_indices(theta.shape[0], i)
     out = theta.copy()
     out[rest, i] = u
     out[i, rest] = u
-    out[i, i] = v + u @ theta11_inv @ u
+    out[i, i] = v + u @ (theta11_inv @ u)
     return out
 
 
@@ -325,7 +310,7 @@ def w_plus_np(theta11_inv: np.ndarray, u: np.ndarray, v: float, i: int) -> np.nd
     if not v > 0.0:
         raise ValueError("margin v must be strictly positive")
     p = theta11_inv.shape[0] + 1
-    rest = _rest(p, i)
+    rest = linalg.rest_indices(p, i)
     mu = theta11_inv @ u
     out = np.empty((p, p), dtype=np.float64)
     out[_rest_grid(p, i)] = theta11_inv + np.outer(mu, mu) / v
@@ -396,7 +381,7 @@ def spodnet_layer(state: SpdState, fns: UpdateFns, cfg: LayerConfig,
     w_np = None if use_tape_w else np.array(state.w.data)
 
     for step, i in enumerate(cfg.order(p)):
-        rest = _rest(p, i)
+        rest = linalg.rest_indices(p, i)
         if w_replay is not None:
             rec_inv, rec_w12 = w_replay[replay_base + step]
             t11inv = Tensor(rec_inv)
@@ -476,11 +461,15 @@ def spodnet_forward(s, fns: UpdateFns, cfg: LayerConfig, *, hook=None,
                               replay_base=k * p)
         if w_replay is None:
             # resynchronize the maintained inverse at every layer boundary
-            if cfg.tape_mode == "full":
-                state = SpdState(state.theta, spd_inverse_op(state.theta))
-            else:
-                state = SpdState(state.theta,
-                                 Tensor(linalg.spd_inverse(state.theta.data)))
+            try:
+                if cfg.tape_mode == "full":
+                    w = spd_inverse_op(state.theta)
+                else:
+                    w = Tensor(linalg.spd_inverse(state.theta.data))
+            except linalg.NotPositiveDefinite as exc:
+                raise SpdViolation(f"layer {k}: state matrix is not PD at the "
+                                   f"boundary refresh: {exc}") from exc
+            state = SpdState(state.theta, w)
             if cfg.validate:
                 state.validate()
     return state

@@ -180,5 +180,8 @@ def load_dataset(path) -> Dataset:
         samples = None
         if cfg.keep_samples:
             samples = np.frombuffer(blob[2 * mat_bytes:], dtype="<f8").reshape(n, p).copy()
+        for name, arr in (("theta_true", theta), ("S", s), ("samples", samples)):
+            if arr is not None and not np.isfinite(arr).all():
+                raise ValueError(f"entry {j}: {name} has non-finite values")
         entries.append(DatasetEntry(theta_true=theta, s=s, samples=samples))
     return Dataset(config=cfg, entries=entries)

@@ -2,26 +2,23 @@
 
 Factorizations and eigensolves are delegated to LAPACK through numpy/scipy.
 This module adds the strict positive-definiteness contract (failures carry
-the offending pivot index), symmetrized inverses, and the column-row block
-partition machinery shared by the update layer and the solvers.
+the offending pivot index; non-finite input is never positive definite),
+symmetrized inverses, and the pivot index set shared by the update layer
+and the solvers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 __all__ = [
-    "BlockView",
     "NotPositiveDefinite",
-    "SymMatrix",
     "as_sym_array",
     "cholesky",
     "eig_diagnostics",
-    "embed_block",
-    "extract_block",
     "is_spd",
     "rest_indices",
     "spd_inverse",
@@ -49,70 +46,24 @@ def as_sym_array(a) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class SymMatrix:
-    """Square float64 matrix validated and stored as exactly symmetric."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        m = as_sym_array(self.data)
-        object.__setattr__(self, "data", 0.5 * (m + m.T))
-
-    @property
-    def p(self) -> int:
-        return self.data.shape[0]
-
-
-@dataclass(frozen=True)
-class BlockView:
-    """Column-row partition of a symmetric matrix at pivot ``i``.
-
-    ``theta11`` is the matrix without row/column ``i``, ``theta12`` the
-    pivot column without its pivot entry, ``theta22`` the pivot diagonal.
-    """
-
-    i: int
-    theta11_indices: np.ndarray
-    theta11: np.ndarray
-    theta12: np.ndarray
-    theta22: float
-
-
+@lru_cache(maxsize=None)
 def rest_indices(p: int, i: int) -> np.ndarray:
-    """All indices except ``i``, ascending."""
+    """All indices except ``i``, ascending; cached, so the array is read-only."""
     if not 0 <= i < p:
         raise IndexError(f"pivot {i} out of range for dimension {p}")
-    return np.concatenate([np.arange(i), np.arange(i + 1, p)])
-
-
-def extract_block(a, i: int) -> BlockView:
-    m = as_sym_array(a)
-    rest = rest_indices(m.shape[0], i)
-    return BlockView(
-        i=i,
-        theta11_indices=rest,
-        theta11=m[np.ix_(rest, rest)],
-        theta12=m[rest, i],
-        theta22=float(m[i, i]),
-    )
-
-
-def embed_block(view: BlockView) -> SymMatrix:
-    """Reassemble the source matrix from a block view, bit-exactly."""
-    p = view.theta11.shape[0] + 1
-    rest = view.theta11_indices
-    out = np.empty((p, p), dtype=np.float64)
-    out[np.ix_(rest, rest)] = view.theta11
-    out[rest, view.i] = view.theta12
-    out[view.i, rest] = view.theta12
-    out[view.i, view.i] = view.theta22
-    return SymMatrix(out)
+    rest = np.concatenate([np.arange(i), np.arange(i + 1, p)])
+    rest.setflags(write=False)
+    return rest
 
 
 def cholesky(a) -> np.ndarray:
-    """Lower-triangular L with a = L L'; strictly positive pivots required."""
+    """Lower-triangular L with a = L L'; strictly positive pivots required.
+
+    Non-finite input is rejected too: LAPACK factors NaN without failing.
+    """
     m = as_sym_array(a)
+    if not np.isfinite(m).all():
+        raise NotPositiveDefinite(_failing_pivot(m))
     try:
         return np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
@@ -125,7 +76,7 @@ def _failing_pivot(m: np.ndarray) -> int:
     L = np.zeros_like(m)
     for j in range(p):
         d = m[j, j] - L[j, :j] @ L[j, :j]
-        if not d > 0.0:
+        if not 0.0 < d < np.inf:
             return j
         L[j, j] = np.sqrt(d)
         if j + 1 < p:

@@ -245,27 +245,34 @@ def save_checkpoint(path, params: ModelParams, cfg: core.LayerConfig) -> None:
 
 def load_checkpoint(path) -> tuple[ModelParams, core.LayerConfig]:
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError("checkpoint is not a JSON object")
     tag = doc.get("format")
     if tag != CHECKPOINT_TAG:
         raise ValueError(f"unrecognized checkpoint format tag {tag!r}")
-    params = init_params(doc["variant"], int(doc["p"]), int(doc["seed"]))
-    remaining = dict(params.named_tensors())
-    for rec in doc["params"]:
-        name = rec["name"]
-        if name not in remaining:
-            raise ValueError(f"unexpected parameter {name!r} in checkpoint")
-        t = remaining.pop(name)
-        arr = np.frombuffer(base64.b64decode(rec["data"]), dtype="<f8")
-        arr = arr.reshape([int(d) for d in rec["shape"]])
-        if arr.shape != t.data.shape:
-            raise ValueError(f"shape mismatch for {name!r}: "
-                             f"{arr.shape} vs {t.data.shape}")
-        t.data[...] = arr
-    if remaining:
-        raise ValueError(f"checkpoint is missing parameters: {sorted(remaining)}")
-    cfg = core.LayerConfig(
-        zeta=float(doc["zeta"]),
-        num_layers=int(doc["num_layers"]),
-        stabilize=bool(doc.get("stabilize", True)),
-    )
+    try:
+        params = init_params(doc["variant"], int(doc["p"]), int(doc["seed"]))
+        remaining = dict(params.named_tensors())
+        for rec in doc["params"]:
+            name = rec["name"]
+            if name not in remaining:
+                raise ValueError(f"unexpected parameter {name!r} in checkpoint")
+            t = remaining.pop(name)
+            arr = np.frombuffer(base64.b64decode(rec["data"]), dtype="<f8")
+            arr = arr.reshape([int(d) for d in rec["shape"]])
+            if arr.shape != t.data.shape:
+                raise ValueError(f"shape mismatch for {name!r}: "
+                                 f"{arr.shape} vs {t.data.shape}")
+            t.data[...] = arr
+        if remaining:
+            raise ValueError(f"checkpoint is missing parameters: {sorted(remaining)}")
+        cfg = core.LayerConfig(
+            zeta=float(doc["zeta"]),
+            num_layers=int(doc["num_layers"]),
+            stabilize=bool(doc.get("stabilize", True)),
+        )
+    except KeyError as exc:
+        raise ValueError(f"checkpoint lacks key {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"malformed checkpoint: {exc}") from exc
     return params, cfg

@@ -29,6 +29,7 @@ __all__ = [
     "mse_loss",
     "nmse",
     "offdiag_density",
+    "score_estimates",
     "spectral_trace",
     "train",
     "write_metrics_csv",
@@ -150,21 +151,18 @@ def offdiag_density(mat, zero_tol: float = ZERO_TOL) -> float:
     return float((np.abs(m) > zero_tol)[off].mean())
 
 
-def evaluate(params: models.ModelParams, entries, cfg: core.LayerConfig) -> dict:
-    """Forward every entry without taping; per-sample rows plus aggregates."""
+def score_estimates(entries, estimates) -> dict:
+    """Per-sample rows plus aggregates for one estimate per entry."""
     rows = []
-    for idx, entry in enumerate(entries):
-        state = models.forward(entry.s, params, cfg)
-        th = state.theta.data
-        lo, _, cond = linalg.eig_diagnostics(th)
-        denom = float((entry.theta_true ** 2).sum())
+    for idx, (entry, est) in enumerate(zip(entries, estimates)):
+        lo, _, cond = linalg.eig_diagnostics(est)
         rows.append({
             "sample_id": idx,
-            "nmse": float(((th - entry.theta_true) ** 2).sum()) / denom,
-            "f1": f1_support(th, entry.theta_true),
+            "nmse": nmse([est], [entry.theta_true]),
+            "f1": f1_support(est, entry.theta_true),
             "min_eig": lo,
             "cond": cond,
-            "density": offdiag_density(th),
+            "density": offdiag_density(est),
             "spd": bool(lo > 0.0),
         })
     agg = {
@@ -176,6 +174,12 @@ def evaluate(params: models.ModelParams, entries, cfg: core.LayerConfig) -> dict
         "all_spd": bool(all(r["spd"] for r in rows)),
     }
     return {"samples": rows, "aggregates": agg}
+
+
+def evaluate(params: models.ModelParams, entries, cfg: core.LayerConfig) -> dict:
+    """Forward every entry without taping and score the estimates."""
+    return score_estimates(
+        entries, [models.forward(e.s, params, cfg).theta.data for e in entries])
 
 
 def train(params: models.ModelParams, train_entries, test_entries,

@@ -100,7 +100,7 @@ class TestElementwise:
     def test_grad_of_squared_norm(self):
         x = ad.parameter([1.0, 2.0])
         with Tape():
-            ad.backward(ad.dot(x, x))
+            ad.backward(ad.mul(x, x).sum())
         assert np.array_equal(x.grad, [2.0, 4.0])
 
     def test_scalar_tensor_mixing(self):
@@ -157,16 +157,16 @@ class TestBackward:
                 ad.backward(fn(x))
             return x.grad
 
-        gf = run(lambda x: ad.dot(x, x))
+        gf = run(lambda x: ad.mul(x, x).sum())
         gg = run(lambda x: x.sum())
-        combined = run(lambda x: ad.add(ad.scale(ad.dot(x, x), a),
+        combined = run(lambda x: ad.add(ad.scale(ad.mul(x, x).sum(), a),
                                         ad.scale(x.sum(), b)))
         assert np.abs(combined - (a * gf + b * gg)).max() <= 1e-12
 
     def test_double_backward_doubles_exactly(self):
         x = ad.parameter([1.0, -2.0, 0.5])
         with Tape():
-            loss = ad.dot(x, x)
+            loss = ad.mul(x, x).sum()
             ad.backward(loss)
             once = x.grad.copy()
             ad.backward(loss)
@@ -191,7 +191,7 @@ class TestBackward:
 class TestFiniteDiffCheck:
     def test_quadratic_is_machine_exact(self):
         x = ad.parameter([1.0, -0.5, 2.0])
-        err = ad.finite_diff_check(lambda: ad.dot(x, x), [x])
+        err = ad.finite_diff_check(lambda: ad.mul(x, x).sum(), [x])
         assert err <= 1e-9
 
     def test_relu_network_at_non_kink(self):
@@ -234,17 +234,17 @@ class TestPrimitiveGradients:
         self._check(lambda a, b: ad.sub(a, b).sum(), 2, 11)
 
     def test_mul(self):
-        self._check(lambda a, b: ad.dot(ad.mul(a, b), ad.mul(a, b)), 2, 12)
+        self._check(lambda a, b: ad.mul(ad.mul(a, b), ad.mul(a, b)).sum(), 2, 12)
 
     def test_scale_and_neg(self):
-        self._check(lambda a: ad.dot(ad.scale(a, 1.7), ad.neg(a)), 1, 13)
+        self._check(lambda a: ad.mul(ad.scale(a, 1.7), ad.neg(a)).sum(), 1, 13)
 
     def test_matvec(self):
         rng = np.random.default_rng(14)
         w = ad.parameter(rng.standard_normal((3, 4)))
         x = ad.parameter(rng.standard_normal(4))
         err = ad.finite_diff_check(
-            lambda: ad.dot(ad.matmul(w, x), ad.matmul(w, x)), [w, x])
+            lambda: ad.mul(ad.matmul(w, x), ad.matmul(w, x)).sum(), [w, x])
         assert err <= self.TOL
 
     def test_matmat(self):
@@ -265,7 +265,7 @@ class TestPrimitiveGradients:
         assert err <= self.TOL
 
     def test_relu_non_kink(self):
-        self._check(lambda a: ad.dot(ad.relu(a), ad.relu(a)), 1, 18, shift=0.3)
+        self._check(lambda a: ad.mul(ad.relu(a), ad.relu(a)).sum(), 1, 18, shift=0.3)
 
     def test_abs_non_kink(self):
         self._check(lambda a: ad.absval(a).sum(), 1, 19, shift=2.0)
@@ -288,8 +288,8 @@ class TestPrimitiveGradients:
         b = ad.parameter(-0.5)
         c = ad.parameter(2.0)
         err = ad.finite_diff_check(
-            lambda: ad.dot(ad.concat_scalars((a, b, c)),
-                           ad.concat_scalars((a, b, c))), [a, b, c])
+            lambda: ad.mul(ad.concat_scalars((a, b, c)),
+                           ad.concat_scalars((a, b, c))).sum(), [a, b, c])
         assert err <= self.TOL
 
 
@@ -312,7 +312,7 @@ def test_tapes_are_thread_local():
         for _ in range(50):
             ad.zero_grad([x])
             with Tape():
-                ad.backward(ad.dot(x, x))
+                ad.backward(ad.mul(x, x).sum())
             if not np.allclose(x.grad, 2 * x.data):
                 errors.append(seed)
                 return

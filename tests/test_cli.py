@@ -127,6 +127,32 @@ class TestEval:
         assert code == 3
 
 
+    def test_broken_checkpoint_exits_2(self, tmp_path, small_data, trained):
+        _, test = small_data
+        doc = json.loads((trained / "checkpoint.json").read_text())
+        del doc["variant"]
+        ckpt = tmp_path / "broken.json"
+        ckpt.write_text(json.dumps(doc))
+        code = main(["eval", "--checkpoint", str(ckpt),
+                     "--data", str(test), "--out", str(tmp_path / "x.json")])
+        assert code == 2
+
+    def test_non_finite_dataset_exits_2(self, tmp_path, trained, capsys):
+        ds = datagen.build_dataset(datagen.GenConfig(
+            p=6, n=30, num=2, alpha=0.9, seed=1, keep_samples=True))
+        ds.entries[1].s[0, 0] = np.nan
+        datagen.save_dataset(ds, tmp_path / "bad")
+        code = main(["eval", "--checkpoint", str(trained / "checkpoint.json"),
+                     "--data", str(tmp_path / "bad"),
+                     "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert "entry 1" in capsys.readouterr().err
+        code = main(["baseline", "--method", "glasso",
+                     "--data", str(tmp_path / "bad"),
+                     "--out", str(tmp_path / "y.json")])
+        assert code == 2
+
+
 class TestBaseline:
     def test_lw_all_spd(self, tmp_path, small_data):
         _, test = small_data
@@ -203,6 +229,13 @@ class TestDiagnose:
         assert code == 0
         lines = (out / "trace.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 1 * 6
+
+    def test_negative_limit_exits_2(self, tmp_path, small_data, trained):
+        _, test = small_data
+        code = main(["diagnose", "--checkpoint",
+                     str(trained / "checkpoint.json"), "--data", str(test),
+                     "--limit", "-1", "--out", str(tmp_path / "d")])
+        assert code == 2
 
 
 class TestConfigFile:

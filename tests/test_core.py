@@ -7,10 +7,9 @@ from spodnet import autodiff as ad
 from spodnet import core, linalg, models
 from spodnet.autodiff import Tape, Tensor
 from spodnet.core import (LayerConfig, SpdState, SpdViolation, UpdateFns,
-                          assemble_theta_plus, assemble_w_plus,
-                          bauer_fike_check, rank2_delta_eigs,
+                          assemble_w_plus, bauer_fike_check, rank2_delta_eigs,
                           stabilize_preactivation, theta11_inverse,
-                          theta11_inverse_np)
+                          theta11_inverse_np, theta_plus_np)
 
 
 def _random_spd(rng, p, shift=1.0):
@@ -85,21 +84,17 @@ class TestTheta11Inverse:
 
 class TestAssembleThetaPlus:
     def test_noop_update(self):
-        theta = Tensor(np.eye(2))
-        out = assemble_theta_plus(theta, 1, Tensor([0.0]), Tensor(1.0),
-                                  Tensor(np.eye(1)))
-        assert np.array_equal(out.data, np.eye(2))
+        out = theta_plus_np(np.eye(2), 1, np.array([0.0]), 1.0, np.eye(1))
+        assert np.array_equal(out, np.eye(2))
 
     def test_hand_schur_evaluation(self):
-        out = assemble_theta_plus(Tensor(np.eye(2)), 1, Tensor([0.5]),
-                                  Tensor(2.0), Tensor(np.eye(1)))
-        assert np.allclose(out.data, [[1.0, 0.5], [0.5, 2.25]])
-        assert np.linalg.det(out.data) == pytest.approx(2.0)
+        out = theta_plus_np(np.eye(2), 1, np.array([0.5]), 2.0, np.eye(1))
+        assert np.allclose(out, [[1.0, 0.5], [0.5, 2.25]])
+        assert np.linalg.det(out) == pytest.approx(2.0)
 
     def test_rejects_nonpositive_margin(self):
         with pytest.raises(ValueError):
-            assemble_theta_plus(Tensor(np.eye(2)), 0, Tensor([0.0]),
-                                Tensor(0.0), Tensor(np.eye(1)))
+            theta_plus_np(np.eye(2), 0, np.array([0.0]), 0.0, np.eye(1))
 
     def test_spd_preserved_randomized(self):
         rng = np.random.default_rng(2)
@@ -109,9 +104,8 @@ class TestAssembleThetaPlus:
             rest = linalg.rest_indices(8, i)
             t11inv = np.linalg.inv(theta[np.ix_(rest, rest)])
             u = rng.standard_normal(7) * 10.0 ** rng.uniform(-1, 2)
-            out = assemble_theta_plus(Tensor(theta), i, Tensor(u), Tensor(0.5),
-                                      Tensor(t11inv))
-            assert np.linalg.eigvalsh(out.data)[0] > 0.0
+            out = theta_plus_np(theta, i, u, 0.5, t11inv)
+            assert np.linalg.eigvalsh(out)[0] > 0.0
 
     def test_schur_margin_equals_v(self):
         rng = np.random.default_rng(3)
@@ -122,8 +116,7 @@ class TestAssembleThetaPlus:
             t11inv = np.linalg.inv(theta[np.ix_(rest, rest)])
             u = rng.standard_normal(6)
             v = float(10.0 ** rng.uniform(-4, 1))
-            out = assemble_theta_plus(Tensor(theta), i, Tensor(u), Tensor(v),
-                                      Tensor(t11inv)).data
+            out = theta_plus_np(theta, i, u, v, t11inv)
             # independent dense evaluation of the updated Schur complement
             schur = out[i, i] - out[rest, i] @ np.linalg.inv(
                 out[np.ix_(rest, rest)]) @ out[rest, i]
@@ -150,7 +143,7 @@ class TestAssembleWPlus:
             t11inv = np.linalg.inv(theta[np.ix_(rest, rest)])
             u = rng.standard_normal(9)
             v = float(10.0 ** rng.uniform(-2, 1))
-            tp = core.theta_plus_np(theta, i, u, v, t11inv)
+            tp = theta_plus_np(theta, i, u, v, t11inv)
             wp = core.w_plus_np(t11inv, u, v, i)
             assert np.abs(tp @ wp - np.eye(10)).max() <= 1e-10
 
@@ -269,6 +262,30 @@ class TestForward:
     def test_identity_covariance_initialization(self):
         state = core.initial_state(np.eye(4))
         assert np.allclose(state.theta.data, np.eye(4) / 2.0, atol=1e-14)
+
+    def test_collapsed_margin_fails_at_refresh_naming_layer(self):
+        rng = np.random.default_rng(16)
+        s = _random_spd(rng, 6)
+
+        def f(ctx):
+            return Tensor(np.full(ctx.theta12.data.shape, 0.5))
+
+        def g(ctx, u, q):
+            return Tensor(np.asarray(1e-17 if ctx.i == 5 else 1.0))
+
+        for mode in ("detached", "full"):
+            with pytest.raises(SpdViolation, match="layer 0"):
+                core.spodnet_forward(s, UpdateFns(f=f, g=g),
+                                     LayerConfig(tape_mode=mode))
+
+    def test_validate_rejects_non_finite_state(self):
+        nan_theta = np.eye(3)
+        nan_theta[0, 0] = np.nan
+        with pytest.raises(SpdViolation, match="not PD"):
+            SpdState(Tensor(nan_theta), Tensor(np.eye(3))).validate()
+        with pytest.raises(SpdViolation, match="drifted"):
+            SpdState(Tensor(np.eye(3)),
+                     Tensor(np.full((3, 3), np.nan))).validate()
 
     def test_corrupt_input_rejected(self):
         bad = np.diag([-2.0, 1.0])  # eigenvalue below -1
@@ -391,7 +408,7 @@ class TestBauerFike:
             rest = linalg.rest_indices(8, i)
             t11inv = np.linalg.inv(theta[np.ix_(rest, rest)])
             u = rng.standard_normal(7)
-            tp = core.theta_plus_np(theta, i, u, 0.5, t11inv)
+            tp = theta_plus_np(theta, i, u, 0.5, t11inv)
             hi, lo = rank2_delta_eigs(u - theta[rest, i],
                                       tp[i, i] - theta[i, i])
             ok, _ = bauer_fike_check(theta, tp, max(abs(hi), abs(lo)))
@@ -422,7 +439,7 @@ def test_single_column_update_quadratic_scaling():
         for _ in range(reps):
             t0 = time.perf_counter()
             m = theta11_inverse_np(w, 3)
-            tp = core.theta_plus_np(theta, 3, u, 0.5, m)
+            tp = theta_plus_np(theta, 3, u, 0.5, m)
             wp = core.w_plus_np(m, u, 0.5, 3)
             times.append(time.perf_counter() - t0)
         del tp, wp

@@ -152,6 +152,13 @@ class TestDataset:
         with pytest.raises(ValueError):
             load_dataset(tmp_path / "ds")
 
+    def test_non_finite_entry_rejected(self, tmp_path):
+        ds = build_dataset(GenConfig(p=4, n=8, num=2, alpha=0.6, seed=3))
+        ds.entries[1].s[2, 3] = np.nan
+        save_dataset(ds, tmp_path / "ds")
+        with pytest.raises(ValueError, match="entry 1: S"):
+            load_dataset(tmp_path / "ds")
+
     def test_samples_not_stored_by_default(self, tmp_path):
         ds = build_dataset(GenConfig(p=4, n=8, num=1, alpha=0.6, seed=3))
         assert ds.entries[0].samples is None

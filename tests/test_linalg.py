@@ -1,12 +1,12 @@
-"""Dense SPD kernels: factorization contract, inverses, block partition."""
+"""Dense SPD kernels: factorization contract, inverses, pivot indices."""
 
 import numpy as np
 import pytest
 
 from spodnet import linalg
-from spodnet.linalg import (BlockView, NotPositiveDefinite, SymMatrix,
-                            cholesky, eig_diagnostics, embed_block,
-                            extract_block, is_spd, spd_inverse)
+from spodnet.autodiff import Tensor
+from spodnet.linalg import (NotPositiveDefinite, cholesky, eig_diagnostics,
+                            is_spd, spd_inverse)
 
 
 def _random_spd(rng, p, shift=1.0):
@@ -46,6 +46,46 @@ class TestCholesky:
         assert is_spd(np.eye(4))
         assert not is_spd(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    def test_non_finite_rejected(self):
+        # LAPACK factors a NaN matrix without reporting failure
+        for bad in (np.nan, np.inf):
+            m = np.eye(3)
+            m[1, 1] = bad
+            with pytest.raises(NotPositiveDefinite) as exc:
+                cholesky(m)
+            assert exc.value.pivot == 1
+            assert not is_spd(m)
+
+
+class TestAsSymArray:
+    def test_rejects_asymmetric(self):
+        with pytest.raises(ValueError):
+            linalg.as_sym_array(np.array([[1.0, 2.0], [2.1, 5.0]]))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            linalg.as_sym_array(np.ones((2, 3)))
+
+    def test_ops_accept_tensor(self):
+        m = Tensor(np.eye(3) * 2.0)
+        assert np.allclose(spd_inverse(m), np.eye(3) / 2.0)
+        assert eig_diagnostics(m) == (2.0, 2.0, 1.0)
+
+
+class TestRestIndices:
+    def test_values_and_read_only(self):
+        rest = linalg.rest_indices(4, 1)
+        assert np.array_equal(rest, [0, 2, 3])
+        assert linalg.rest_indices(4, 1) is rest
+        with pytest.raises(ValueError):
+            rest[0] = 5
+
+    def test_index_out_of_range(self):
+        with pytest.raises(IndexError):
+            linalg.rest_indices(3, 3)
+        with pytest.raises(IndexError):
+            linalg.rest_indices(3, -1)
+
 
 class TestSpdInverse:
     def test_identity(self):
@@ -77,34 +117,6 @@ class TestSpdInverse:
             spd_inverse(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
-class TestBlockPartition:
-    def test_identity_example(self):
-        view = extract_block(np.eye(3), 1)
-        assert np.array_equal(view.theta11, np.eye(2))
-        assert np.array_equal(view.theta12, [0.0, 0.0])
-        assert view.theta22 == 1.0
-
-    def test_read_off(self):
-        view = extract_block(np.array([[1.0, 2.0], [2.0, 3.0]]), 1)
-        assert np.array_equal(view.theta11, [[1.0]])
-        assert np.array_equal(view.theta12, [2.0])
-        assert view.theta22 == 3.0
-
-    def test_round_trip_bit_exact(self):
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal((5, 5))
-        a = 0.5 * (a + a.T)
-        for i in range(5):
-            back = embed_block(extract_block(a, i))
-            assert np.array_equal(back.data, a)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            extract_block(np.eye(3), 3)
-        with pytest.raises(IndexError):
-            extract_block(np.eye(3), -1)
-
-
 class TestEigDiagnostics:
     def test_diagonal(self):
         lo, hi, cond = eig_diagnostics(np.diag([1.0, 2.0, 5.0]))
@@ -129,22 +141,3 @@ class TestEigDiagnostics:
         scale = np.linalg.norm(a)
         assert abs(lo - 0.5) <= 1e-9 * scale
         assert abs(hi - 21.0) <= 1e-9 * scale
-
-
-class TestSymMatrix:
-    def test_valid(self):
-        m = SymMatrix(np.array([[1.0, 2.0], [2.0, 5.0]]))
-        assert m.p == 2
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            SymMatrix(np.array([[1.0, 2.0], [2.1, 5.0]]))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            SymMatrix(np.ones((2, 3)))
-
-    def test_ops_accept_wrapper(self):
-        m = SymMatrix(np.eye(3) * 2.0)
-        assert np.allclose(spd_inverse(m), np.eye(3) / 2.0)
-        assert extract_block(m, 0).theta22 == 2.0

@@ -322,3 +322,16 @@ class TestCheckpoint:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+    def test_malformed_checkpoint_rejected(self, tmp_path):
+        import json
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, init_params("ubg", 5, seed=0), LayerConfig())
+        good = json.loads(path.read_text())
+        broken = [{k: v for k, v in good.items() if k != "variant"},
+                  {**good, "params": [3]},
+                  [good]]
+        for doc in broken:
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ValueError):
+                load_checkpoint(path)
