@@ -30,8 +30,6 @@ __all__ = [
     "finite_diff_check",
     "matmul",
     "mul",
-    "neg",
-    "outer",
     "parameter",
     "quadratic_form",
     "reciprocal",
@@ -258,10 +256,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return apply_op(a.data * c, (a,), vjp)
 
 
-def neg(a: Tensor) -> Tensor:
-    return scale(a, -1.0)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
     if ad.ndim == 2 and bd.ndim == 2:
@@ -283,17 +277,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul supports 2-D @ 2-D or 2-D @ 1-D, got {ad.shape} @ {bd.shape}"
         )
     return apply_op(ad @ bd, (a, b), vjp)
-
-
-def outer(a: Tensor, b: Tensor) -> Tensor:
-    ad, bd = a.data, b.data
-    if ad.ndim != 1 or bd.ndim != 1:
-        raise ShapeError(f"outer expects vectors, got {ad.shape}, {bd.shape}")
-
-    def vjp(g):
-        return (g @ bd, g.T @ ad)
-
-    return apply_op(np.outer(ad, bd), (a, b), vjp)
 
 
 def quadratic_form(z: Tensor, m: Tensor) -> Tensor:

@@ -142,8 +142,6 @@ def _load_checkpoint(args):
     path = _require(args, "checkpoint", "--checkpoint")
     try:
         return models.load_checkpoint(path)
-    except FileNotFoundError:
-        raise
     except ValueError as exc:
         raise UsageError(f"--checkpoint: {exc}") from exc
 

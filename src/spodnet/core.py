@@ -11,16 +11,21 @@ a strictly positive margin ``v``, pins the pivot diagonal to
 and positive-definiteness is preserved for any ``u``), and rebuilds both
 the matrix and its inverse from the same blocks.
 
+Each of the three block identities (reduced-block inverse, updated matrix,
+updated inverse) is computed by one numpy function, ``*_np``, which the
+glasso baseline also calls; the tape op of the same name without the
+suffix runs that function and carries its hand-written adjoint.
+
 Gradient bookkeeping offers two modes. In ``detached`` mode the inverse is
 maintained as plain numbers: quantities derived from it enter each update
 as constants and gradients do not flow through the inverse-maintenance
 recursion across columns (the matrix path itself stays fully on the tape).
 In ``full`` mode the inverse is maintained as tape tensors and gradients
-flow through everything. The numbers produced by the two modes are
-identical; only the differentiated dependency structure differs. A
-record/replay facility freezes the inverse-derived inputs of every update
-so the detached gradient can be checked against finite differences of the
-function it actually differentiates.
+flow through everything. Both modes run the same numpy functions, so
+their values are bit-identical; only the differentiated dependency
+structure differs. A record/replay facility freezes the inverse-derived
+inputs of every update so the detached gradient can be checked against
+finite differences of the function it actually differentiates.
 """
 
 from __future__ import annotations
@@ -42,12 +47,9 @@ __all__ = [
     "SpdViolation",
     "UpdateEvent",
     "UpdateFns",
-    "assemble_w_plus",
     "bauer_fike_check",
-    "block11",
     "col_off",
     "diag_entry",
-    "embed_blocks",
     "initial_state",
     "rank2_delta_eigs",
     "spd_inverse_op",
@@ -56,7 +58,9 @@ __all__ = [
     "stabilize_preactivation",
     "theta11_inverse",
     "theta11_inverse_np",
+    "theta_plus",
     "theta_plus_np",
+    "w_plus",
     "w_plus_np",
 ]
 
@@ -167,7 +171,7 @@ class UpdateEvent:
     i: int
     theta_before: np.ndarray
     theta_after: np.ndarray
-    w_after: np.ndarray | None
+    w_after: np.ndarray
     col_diff: np.ndarray
     diag_diff: float
 
@@ -180,11 +184,6 @@ def _rest_grid(p: int, i: int) -> tuple[np.ndarray, np.ndarray]:
         a.setflags(write=False)
     return grid
 
-
-
-def _scalar(t) -> float:
-    """Value of a size-1 tensor, accepting shape () or (1,)."""
-    return float(t.data.reshape(()))
 
 # -- structural tape primitives ------------------------------------------
 
@@ -214,43 +213,6 @@ def diag_entry(a: Tensor, i: int) -> Tensor:
     return apply_op(np.asarray(ad_[i, i]), (a,), vjp)
 
 
-def block11(a: Tensor, i: int) -> Tensor:
-    """The matrix with pivot row and column ``i`` removed."""
-    ad_ = a.data
-    grid = _rest_grid(ad_.shape[0], i)
-
-    def vjp(g):
-        out = np.zeros_like(ad_)
-        out[grid] = g
-        return (out,)
-
-    return apply_op(ad_[grid], (a,), vjp)
-
-
-def embed_blocks(b11: Tensor, col: Tensor, diag: Tensor, i: int) -> Tensor:
-    """Assemble a symmetric matrix from an 11-block, a pivot column and a
-    pivot diagonal; the column is written to both the row and the column,
-    so its adjoint collects both sides."""
-    p = b11.data.shape[0] + 1
-    rest = linalg.rest_indices(p, i)
-    grid = _rest_grid(p, i)
-    out = np.empty((p, p), dtype=np.float64)
-    out[grid] = b11.data
-    out[rest, i] = col.data
-    out[i, rest] = col.data
-    out[i, i] = _scalar(diag)
-    dshape = diag.data.shape
-
-    def vjp(g):
-        return (
-            g[grid],
-            g[rest, i] + g[i, rest],
-            np.asarray(g[i, i]).reshape(dshape),
-        )
-
-    return apply_op(out, (b11, col, diag), vjp)
-
-
 def spd_inverse_op(a: Tensor) -> Tensor:
     """Differentiable SPD inverse (dense; used at layer boundaries only)."""
     inv = linalg.spd_inverse(a.data)
@@ -261,18 +223,14 @@ def spd_inverse_op(a: Tensor) -> Tensor:
     return apply_op(inv, (a,), vjp)
 
 
-# -- block algebra, tape and numpy twins ----------------------------------
-
-
-def theta11_inverse(w11: Tensor, w12: Tensor, w22: Tensor) -> Tensor:
-    """Reduced-block inverse from the inverse's blocks, in O(p^2)."""
-    if not _scalar(w22) > 0.0:
-        raise SpdViolation("inverse pivot w22 is not positive")
-    return ad.sub(w11, ad.mul(ad.reciprocal(w22), ad.outer(w12, w12)))
+# -- block identities: numpy forward, tape op with its adjoint -------------
+#
+# The tape ops call the numpy functions by their module-global names, so a
+# patched function (as the bench tracer installs) is the one that runs.
 
 
 def theta11_inverse_np(w: np.ndarray, i: int) -> np.ndarray:
-    """Numpy twin of :func:`theta11_inverse`, reading blocks from ``w``."""
+    """Reduced-block inverse W_11 - w_12 w_12' / w_22, read off ``w``, in O(p^2)."""
     rest = linalg.rest_indices(w.shape[0], i)
     w22 = w[i, i]
     if not w22 > 0.0:
@@ -281,15 +239,23 @@ def theta11_inverse_np(w: np.ndarray, i: int) -> np.ndarray:
     return w[_rest_grid(w.shape[0], i)] - np.outer(w12, w12) / w22
 
 
-def assemble_w_plus(theta11_inv: Tensor, u: Tensor, v: Tensor, i: int) -> Tensor:
-    """Inverse of the updated matrix from the same blocks, in O(p^2)."""
-    if not _scalar(v) > 0.0:
-        raise ValueError("margin v must be strictly positive")
-    rv = ad.reciprocal(v)
-    mu = ad.matmul(theta11_inv, u)
-    w11 = ad.add(theta11_inv, ad.mul(rv, ad.outer(mu, mu)))
-    w12 = ad.neg(ad.mul(rv, mu))
-    return embed_blocks(w11, w12, rv, i)
+def theta11_inverse(w: Tensor, i: int) -> Tensor:
+    """Tape op for :func:`theta11_inverse_np`; the off-diagonal block is
+    read from column ``i``, so its adjoint lands there."""
+    wd = w.data
+    out = theta11_inverse_np(wd, i)
+    p = wd.shape[0]
+    rest = linalg.rest_indices(p, i)
+
+    def vjp(g):
+        w12, w22 = wd[rest, i], wd[i, i]
+        dw = np.zeros_like(wd)
+        dw[_rest_grid(p, i)] = g
+        dw[rest, i] = -((g + g.T) @ w12) / w22
+        dw[i, i] = (w12 @ g @ w12) / (w22 * w22)
+        return (dw,)
+
+    return apply_op(out, (w,), vjp)
 
 
 def theta_plus_np(theta: np.ndarray, i: int, u: np.ndarray, v: float,
@@ -306,7 +272,29 @@ def theta_plus_np(theta: np.ndarray, i: int, u: np.ndarray, v: float,
     return out
 
 
+def theta_plus(theta: Tensor, u: Tensor, v: Tensor, theta11_inv: Tensor,
+               i: int) -> Tensor:
+    """Tape op for :func:`theta_plus_np`; ``u`` fills both the row and the
+    column, so its adjoint collects both sides plus the pivot's quadratic."""
+    ud, md = u.data, theta11_inv.data
+    out = theta_plus_np(theta.data, i, ud, v.item(), md)
+    p = out.shape[0]
+    rest = linalg.rest_indices(p, i)
+    grid = _rest_grid(p, i)
+    vshape = v.data.shape
+
+    def vjp(g):
+        gii = g[i, i]
+        dtheta = np.zeros_like(g)
+        dtheta[grid] = g[grid]
+        du = g[rest, i] + g[i, rest] + gii * ((md + md.T) @ ud)
+        return (dtheta, du, np.full(vshape, gii), gii * np.outer(ud, ud))
+
+    return apply_op(out, (theta, u, v, theta11_inv), vjp)
+
+
 def w_plus_np(theta11_inv: np.ndarray, u: np.ndarray, v: float, i: int) -> np.ndarray:
+    """Inverse of the updated matrix from the same blocks, in O(p^2)."""
     if not v > 0.0:
         raise ValueError("margin v must be strictly positive")
     p = theta11_inv.shape[0] + 1
@@ -320,6 +308,25 @@ def w_plus_np(theta11_inv: np.ndarray, u: np.ndarray, v: float, i: int) -> np.nd
     return out
 
 
+def w_plus(theta11_inv: Tensor, u: Tensor, v: Tensor, i: int) -> Tensor:
+    """Tape op for :func:`w_plus_np`."""
+    md, ud, vval = theta11_inv.data, u.data, v.item()
+    out = w_plus_np(md, ud, vval, i)
+    p = out.shape[0]
+    rest = linalg.rest_indices(p, i)
+    vshape = v.data.shape
+
+    def vjp(g):
+        mu = md @ ud
+        g11 = g[_rest_grid(p, i)]
+        gcol = g[rest, i] + g[i, rest]
+        dmu = ((g11 + g11.T) @ mu - gcol) / vval
+        dv = (gcol @ mu - mu @ g11 @ mu - g[i, i]) / (vval * vval)
+        return (g11 + np.outer(dmu, ud), md.T @ dmu, np.full(vshape, dv))
+
+    return apply_op(out, (theta11_inv, u, v), vjp)
+
+
 def stabilize_preactivation(z: Tensor, theta11_inv: Tensor, zeta: float) -> Tensor:
     """Rescale ``z`` so z' inv(Theta_11) z equals ``zeta``.
 
@@ -329,7 +336,7 @@ def stabilize_preactivation(z: Tensor, theta11_inv: Tensor, zeta: float) -> Tens
     if not zeta > 0.0:
         raise ValueError("zeta must be > 0")
     q = ad.quadratic_form(z, theta11_inv)
-    if _scalar(q) <= QUAD_GUARD:
+    if q.item() <= QUAD_GUARD:
         return z
     return ad.mul(ad.scale(ad.reciprocal(ad.sqrt(q)), float(np.sqrt(zeta))), z)
 
@@ -377,8 +384,7 @@ def spodnet_layer(state: SpdState, fns: UpdateFns, cfg: LayerConfig,
     # replayed passes keep the inverse as plain numbers regardless of mode
     use_tape_w = cfg.tape_mode == "full" and w_replay is None
     theta = state.theta
-    w_t = state.w
-    w_np = None if use_tape_w else np.array(state.w.data)
+    w = state.w if use_tape_w else Tensor(state.w.data)
 
     for step, i in enumerate(cfg.order(p)):
         rest = linalg.rest_indices(p, i)
@@ -386,12 +392,9 @@ def spodnet_layer(state: SpdState, fns: UpdateFns, cfg: LayerConfig,
             rec_inv, rec_w12 = w_replay[replay_base + step]
             t11inv = Tensor(rec_inv)
             w12 = Tensor(rec_w12)
-        elif use_tape_w:
-            w12 = col_off(w_t, i)
-            t11inv = theta11_inverse(block11(w_t, i), w12, diag_entry(w_t, i))
         else:
-            t11inv = Tensor(theta11_inverse_np(w_np, i))
-            w12 = Tensor(w_np[rest, i].copy())
+            t11inv = theta11_inverse(w, i)
+            w12 = col_off(w, i)
         if w_record is not None:
             w_record.append((np.array(t11inv.data), np.array(w12.data)))
 
@@ -408,31 +411,27 @@ def spodnet_layer(state: SpdState, fns: UpdateFns, cfg: LayerConfig,
             stabilize=cfg.stabilize,
         )
         u = fns.f(ctx)
-        q = ad.quadratic_form(u, t11inv)
-        v = fns.g(ctx, u, q)
-        vval = _scalar(v)
+        v = fns.g(ctx, u, ad.quadratic_form(u, t11inv))
+        vval = v.item()
         if not np.isfinite(vval) or vval <= 0.0:
             raise SpdViolation(f"margin v = {vval!r} at pivot {i} is not positive")
-        theta = embed_blocks(block11(theta, i), u, ad.add(v, q), i)
-        if use_tape_w:
-            w_t = assemble_w_plus(t11inv, u, v, i)
-        else:
-            w_np = w_plus_np(t11inv.data, u.data, vval, i)
+        theta = theta_plus(theta, u, v, t11inv, i)
+        w = (w_plus(t11inv, u, v, i) if use_tape_w
+             else Tensor(w_plus_np(t11inv.data, u.data, vval, i)))
 
         if hook is not None:
-            w_after = np.array(w_t.data) if use_tape_w else w_np.copy()
             hook(UpdateEvent(
                 layer=layer_index,
                 step=step,
                 i=i,
                 theta_before=theta_before,
                 theta_after=np.array(theta.data),
-                w_after=w_after,
+                w_after=np.array(w.data),
                 col_diff=u.data - theta_before[rest, i],
                 diag_diff=float(theta.data[i, i] - theta_before[i, i]),
             ))
 
-    return SpdState(theta=theta, w=w_t if use_tape_w else Tensor(w_np))
+    return SpdState(theta=theta, w=w)
 
 
 def initial_state(s: np.ndarray) -> SpdState:

@@ -183,5 +183,10 @@ def load_dataset(path) -> Dataset:
         for name, arr in (("theta_true", theta), ("S", s), ("samples", samples)):
             if arr is not None and not np.isfinite(arr).all():
                 raise ValueError(f"entry {j}: {name} has non-finite values")
+        # the layers start from inv(S + I); reject what they cannot invert
+        try:
+            linalg.cholesky(s + np.eye(p))
+        except (ValueError, linalg.NotPositiveDefinite) as exc:
+            raise ValueError(f"entry {j}: S + I: {exc}") from None
         entries.append(DatasetEntry(theta_true=theta, s=s, samples=samples))
     return Dataset(config=cfg, entries=entries)

@@ -36,12 +36,18 @@ class NotPositiveDefinite(Exception):
 
 
 def as_sym_array(a) -> np.ndarray:
-    """Coerce to a square float64 array and require symmetry (1e-12 relative)."""
+    """Coerce to a square float64 array and require symmetry: 1e-12 relative
+    when finite, exact (NaN positions included) otherwise."""
     m = np.asarray(getattr(a, "data", a), dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     scale = float(np.abs(m).max()) if m.size else 0.0
-    if scale > 0.0 and float(np.abs(m - m.T).max()) > _SYM_RTOL * scale:
+    if np.isfinite(scale):
+        asymmetric = scale > 0.0 and float(np.abs(m - m.T).max()) > _SYM_RTOL * scale
+    else:
+        # a NaN or inf scale makes the relative test meaningless
+        asymmetric = not np.array_equal(m, m.T, equal_nan=True)
+    if asymmetric:
         raise ValueError("matrix is not symmetric")
     return m
 

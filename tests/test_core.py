@@ -1,5 +1,7 @@
 """Column-row update layer: block algebra, SPD preservation, diagnostics."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,10 @@ from spodnet import autodiff as ad
 from spodnet import core, linalg, models
 from spodnet.autodiff import Tape, Tensor
 from spodnet.core import (LayerConfig, SpdState, SpdViolation, UpdateFns,
-                          assemble_w_plus, bauer_fike_check, rank2_delta_eigs,
+                          bauer_fike_check, rank2_delta_eigs,
                           stabilize_preactivation, theta11_inverse,
-                          theta11_inverse_np, theta_plus_np)
+                          theta11_inverse_np, theta_plus, theta_plus_np,
+                          w_plus)
 
 
 def _random_spd(rng, p, shift=1.0):
@@ -65,15 +68,6 @@ class TestTheta11Inverse:
                 rel = np.linalg.norm(got - oracle) / np.linalg.norm(oracle)
                 assert rel <= 1e-9
 
-    def test_tape_version_matches_numpy(self):
-        rng = np.random.default_rng(1)
-        theta = _random_spd(rng, 6)
-        w = linalg.spd_inverse(theta)
-        rest = linalg.rest_indices(6, 2)
-        out = theta11_inverse(Tensor(w[np.ix_(rest, rest)]),
-                              Tensor(w[rest, 2]),
-                              Tensor(np.asarray(w[2, 2])))
-        assert np.allclose(out.data, theta11_inverse_np(w, 2), atol=1e-14)
 
     def test_nonpositive_pivot_rejected(self):
         w = np.eye(3)
@@ -125,11 +119,11 @@ class TestAssembleThetaPlus:
 
 class TestAssembleWPlus:
     def test_identity_case(self):
-        out = assemble_w_plus(Tensor(np.eye(1)), Tensor([0.0]), Tensor(1.0), 1)
+        out = w_plus(Tensor(np.eye(1)), Tensor([0.0]), Tensor(1.0), 1)
         assert np.array_equal(out.data, np.eye(2))
 
     def test_hand_2x2_continuation(self):
-        out = assemble_w_plus(Tensor(np.eye(1)), Tensor([0.5]), Tensor(2.0), 1)
+        out = w_plus(Tensor(np.eye(1)), Tensor([0.5]), Tensor(2.0), 1)
         assert np.allclose(out.data, [[1.125, -0.25], [-0.25, 0.5]])
         theta_plus = np.array([[1.0, 0.5], [0.5, 2.25]])
         assert np.abs(theta_plus @ out.data - np.eye(2)).max() <= 1e-14
@@ -146,6 +140,50 @@ class TestAssembleWPlus:
             tp = theta_plus_np(theta, i, u, v, t11inv)
             wp = core.w_plus_np(t11inv, u, v, i)
             assert np.abs(tp @ wp - np.eye(10)).max() <= 1e-10
+
+
+class TestBlockOpAdjoints:
+    """Each tape op equals its numpy function and passes central differences
+    on every input; a random cotangent weights every output entry, so a
+    wrong adjoint for any entry shows."""
+
+    TOL = 1e-7
+
+    def _setup(self, seed, p=6):
+        rng = np.random.default_rng(seed)
+        theta = _random_spd(rng, p)
+        i = int(rng.integers(p))
+        return rng, theta, linalg.spd_inverse(theta), i
+
+    def _check(self, op, inputs, weights):
+        err = ad.finite_diff_check(
+            lambda: ad.mul(op(*inputs), Tensor(weights)).sum(), inputs)
+        assert err <= self.TOL
+
+    def test_theta11_inverse(self):
+        rng, _, w, i = self._setup(41)
+        wt = ad.parameter(w)
+        op = partial(theta11_inverse, i=i)
+        assert np.array_equal(op(wt).data, theta11_inverse_np(w, i))
+        self._check(op, [wt], rng.standard_normal((5, 5)))
+
+    def test_theta_plus(self):
+        rng, theta, w, i = self._setup(42)
+        inputs = [ad.parameter(theta), ad.parameter(rng.standard_normal(5)),
+                  ad.parameter(0.7), ad.parameter(theta11_inverse_np(w, i))]
+        op = partial(theta_plus, i=i)
+        assert np.array_equal(op(*inputs).data, theta_plus_np(
+            theta, i, inputs[1].data, 0.7, inputs[3].data))
+        self._check(op, inputs, rng.standard_normal((6, 6)))
+
+    def test_w_plus(self):
+        rng, _, w, i = self._setup(43)
+        inputs = [ad.parameter(theta11_inverse_np(w, i)),
+                  ad.parameter(rng.standard_normal(5)), ad.parameter([0.7])]
+        op = partial(w_plus, i=i)
+        assert np.array_equal(op(*inputs).data, core.w_plus_np(
+            inputs[0].data, inputs[1].data, 0.7, i))
+        self._check(op, inputs, rng.standard_normal((6, 6)))
 
 
 class TestStabilizer:
@@ -314,7 +352,7 @@ class TestForward:
         params = models.init_params("ubg", 8, seed=2)
         out_d = models.forward(s, params, LayerConfig(tape_mode="detached"))
         out_f = models.forward(s, params, LayerConfig(tape_mode="full"))
-        assert np.abs(out_d.theta.data - out_f.theta.data).max() <= 1e-9
+        assert np.array_equal(out_d.theta.data, out_f.theta.data)
 
 
 class TestGradients:
@@ -455,13 +493,18 @@ def test_single_column_update_quadratic_scaling():
 class TestMultiLayerGradients:
     def test_dense_inverse_adjoint(self):
         # the boundary-resync op is the only new differentiable piece at K>1
-        v = ad.parameter(np.array([0.3, -0.5, 0.8, 0.1]))
+        rng = np.random.default_rng(44)
+        basis = [Tensor(np.eye(4))] + [Tensor(_random_spd(rng, 4, shift=0.0))
+                                       for _ in range(2)]
+        coefs = [ad.parameter(c) for c in (1.0, 0.3, -0.2)]
 
         def loss():
-            m = ad.add(ad.outer(v, v), Tensor(np.eye(4)))
+            m = ad.mul(coefs[0], basis[0])
+            for c, b in zip(coefs[1:], basis[1:]):
+                m = ad.add(m, ad.mul(c, b))
             return core.spd_inverse_op(m).sum()
 
-        assert ad.finite_diff_check(loss, [v]) <= 1e-8
+        assert ad.finite_diff_check(loss, coefs) <= 1e-8
 
     def test_two_layer_modes_agree_in_value(self):
         # whole-model two-layer finite differencing is ill-posed: thresholded
@@ -476,7 +519,7 @@ class TestMultiLayerGradients:
                                LayerConfig(tape_mode="detached", num_layers=2))
         out_f = models.forward(s, params,
                                LayerConfig(tape_mode="full", num_layers=2))
-        assert np.abs(out_d.theta.data - out_f.theta.data).max() <= 1e-9
+        assert np.array_equal(out_d.theta.data, out_f.theta.data)
         with ad.Tape():
             from spodnet.training import mse_loss
             out = models.forward(s, params,

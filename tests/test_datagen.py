@@ -159,6 +159,15 @@ class TestDataset:
         with pytest.raises(ValueError, match="entry 1: S"):
             load_dataset(tmp_path / "ds")
 
+    def test_invalid_covariance_rejected(self, tmp_path):
+        ds = build_dataset(GenConfig(p=4, n=8, num=2, alpha=0.6, seed=3))
+        for bad, why in ((np.diag([-3.0, 1.0, 1.0, 1.0]), "positive definite"),
+                         (np.triu(np.ones((4, 4))), "symmetric")):
+            ds.entries[1].s = bad
+            save_dataset(ds, tmp_path / "ds")
+            with pytest.raises(ValueError, match=f"entry 1: S \\+ I: .*{why}"):
+                load_dataset(tmp_path / "ds")
+
     def test_samples_not_stored_by_default(self, tmp_path):
         ds = build_dataset(GenConfig(p=4, n=8, num=1, alpha=0.6, seed=3))
         assert ds.entries[0].samples is None

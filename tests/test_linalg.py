@@ -62,6 +62,15 @@ class TestAsSymArray:
         with pytest.raises(ValueError):
             linalg.as_sym_array(np.array([[1.0, 2.0], [2.1, 5.0]]))
 
+    def test_non_finite_must_mirror_exactly(self):
+        for bad in (np.nan, np.inf):
+            m = np.eye(3)
+            m[0, 2] = bad
+            with pytest.raises(ValueError, match="not symmetric"):
+                linalg.as_sym_array(m)
+            m[2, 0] = bad
+            assert np.array_equal(linalg.as_sym_array(m), m, equal_nan=True)
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             linalg.as_sym_array(np.ones((2, 3)))
