@@ -1,12 +1,17 @@
 """Float64 tensors with tape-based reverse-mode differentiation.
 
-A deliberately small engine: it provides exactly the primitives needed by
-the column-row update networks and the unrolled SPD forward pass. All data
-is float64 and the only broadcasting allowed is scalar-with-tensor. A Tape
-is a per-forward-pass object, discarded after the backward sweep; leaf
-gradients accumulate additively until cleared with ``zero_grad``. Tapes are
-tracked per thread, so independent samples may run forward/backward
-concurrently on their own tapes.
+A deliberately small engine: it provides exactly the primitives the
+models compose, namely ``add``, ``sub``, ``mul``, ``scale``,
+``quadratic_form``, ``soft_threshold``, ``concat_scalars`` and
+``Tensor.sum``. Larger maps (each MLP call, the stabilizer, the block
+identities) are single ops built with ``apply_op``: a numpy forward plus a
+hand-written adjoint.
+
+All data is float64 and the only broadcasting allowed is
+scalar-with-tensor. A Tape is a per-forward-pass object, discarded after
+the backward sweep; leaf gradients accumulate additively until cleared
+with ``zero_grad``. Tapes are tracked per thread, so independent samples
+may run forward/backward concurrently on their own tapes.
 """
 
 from __future__ import annotations
@@ -21,22 +26,17 @@ __all__ = [
     "ShapeError",
     "Tape",
     "Tensor",
-    "absval",
     "add",
     "apply_op",
     "backward",
     "concat_scalars",
     "constant",
     "finite_diff_check",
-    "matmul",
     "mul",
     "parameter",
     "quadratic_form",
-    "reciprocal",
-    "relu",
     "scale",
     "soft_threshold",
-    "sqrt",
     "sub",
     "zero_grad",
 ]
@@ -256,29 +256,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return apply_op(a.data * c, (a,), vjp)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    ad, bd = a.data, b.data
-    if ad.ndim == 2 and bd.ndim == 2:
-        if ad.shape[1] != bd.shape[0]:
-            raise ShapeError(f"matmul: inner dimensions {ad.shape} @ {bd.shape}")
-
-        def vjp(g):
-            return (g @ bd.T, ad.T @ g)
-
-    elif ad.ndim == 2 and bd.ndim == 1:
-        if ad.shape[1] != bd.shape[0]:
-            raise ShapeError(f"matmul: inner dimensions {ad.shape} @ {bd.shape}")
-
-        def vjp(g):
-            return (np.outer(g, bd), ad.T @ g)
-
-    else:
-        raise ShapeError(
-            f"matmul supports 2-D @ 2-D or 2-D @ 1-D, got {ad.shape} @ {bd.shape}"
-        )
-    return apply_op(ad @ bd, (a, b), vjp)
-
-
 def quadratic_form(z: Tensor, m: Tensor) -> Tensor:
     """Scalar z' M z with adjoints for both the vector and the matrix."""
     zd, md = z.data, m.data
@@ -290,49 +267,6 @@ def quadratic_form(z: Tensor, m: Tensor) -> Tensor:
         return (s * ((md + md.T) @ zd), s * np.outer(zd, zd))
 
     return apply_op(np.asarray(zd @ md @ zd), (z, m), vjp)
-
-
-def relu(x: Tensor) -> Tensor:
-    xd = x.data
-
-    def vjp(g):
-        return (g * (xd > 0.0),)
-
-    return apply_op(np.maximum(xd, 0.0), (x,), vjp)
-
-
-def absval(x: Tensor) -> Tensor:
-    # subgradient 0 at the kink, via sign(0) == 0
-    xd = x.data
-
-    def vjp(g):
-        return (g * np.sign(xd),)
-
-    return apply_op(np.abs(xd), (x,), vjp)
-
-
-def sqrt(x: Tensor) -> Tensor:
-    xd = x.data
-    if np.any(xd <= 0.0):
-        raise DomainError("sqrt requires strictly positive inputs")
-    out = np.sqrt(xd)
-
-    def vjp(g):
-        return (g * (0.5 / out),)
-
-    return apply_op(out, (x,), vjp)
-
-
-def reciprocal(x: Tensor) -> Tensor:
-    xd = x.data
-    if np.any(xd <= 0.0):
-        raise DomainError("reciprocal requires strictly positive inputs")
-    out = 1.0 / xd
-
-    def vjp(g):
-        return (-g * out * out,)
-
-    return apply_op(out, (x,), vjp)
 
 
 def soft_threshold(x: Tensor, gamma) -> Tensor:

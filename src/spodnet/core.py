@@ -90,8 +90,8 @@ class LayerConfig:
     validate: bool = True
 
     def __post_init__(self):
-        if not self.zeta > 0.0:
-            raise ValueError("zeta must be > 0")
+        if not 0.0 < self.zeta < np.inf:
+            raise ValueError(f"zeta must be finite and > 0, got {self.zeta}")
         if self.num_layers < 1:
             raise ValueError("num_layers must be >= 1")
         if self.tape_mode not in ("detached", "full"):
@@ -331,14 +331,26 @@ def stabilize_preactivation(z: Tensor, theta11_inv: Tensor, zeta: float) -> Tens
     """Rescale ``z`` so z' inv(Theta_11) z equals ``zeta``.
 
     Degenerate inputs (quadratic form <= 1e-12) pass through unchanged so
-    the zero vector never divides by zero.
+    the zero vector never divides by zero. One tape op: the output is
+    ``s * z`` with ``s = sqrt(zeta) / sqrt(q)`` and ``q = z' M z``, and the
+    adjoint sends ``g * s`` plus the chain through ``q`` to ``z``.
     """
     if not zeta > 0.0:
         raise ValueError("zeta must be > 0")
-    q = ad.quadratic_form(z, theta11_inv)
-    if q.item() <= QUAD_GUARD:
+    zd, md = z.data, theta11_inv.data
+    q = zd @ md @ zd
+    if q <= QUAD_GUARD:
         return z
-    return ad.mul(ad.scale(ad.reciprocal(ad.sqrt(q)), float(np.sqrt(zeta))), z)
+    c = float(np.sqrt(zeta))
+    t = np.sqrt(q)
+    r = 1.0 / t
+    s = r * c
+
+    def vjp(g):
+        dq = float(-((g * zd).sum() * c) * r * r * (0.5 / t))
+        return (g * s + dq * ((md + md.T) @ zd), dq * np.outer(zd, zd))
+
+    return apply_op(s * zd, (z, theta11_inv), vjp)
 
 
 def rank2_delta_eigs(col_diff: np.ndarray, diag_diff: float) -> tuple[float, float]:

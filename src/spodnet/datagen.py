@@ -163,10 +163,18 @@ def save_dataset(ds: Dataset, path) -> None:
 def load_dataset(path) -> Dataset:
     root = Path(path)
     meta = json.loads((root / "meta.json").read_text())
+    if not isinstance(meta, dict):
+        raise ValueError("meta.json is not a JSON object")
     tag = meta.pop("format", None)
     if tag != FORMAT_TAG:
         raise ValueError(f"unrecognized dataset format tag {tag!r}")
-    cfg = GenConfig(**meta)
+    for key in ("p", "n", "num"):
+        if key in meta and type(meta[key]) is not int:
+            raise ValueError(f"meta.json: {key} must be an integer, got {meta[key]!r}")
+    try:
+        cfg = GenConfig(**meta)
+    except TypeError as exc:
+        raise ValueError(f"meta.json: {exc}") from None
     p, n = cfg.p, cfg.n
     mat_bytes = p * p * 8
     entries = []

@@ -114,6 +114,8 @@ def eig_diagnostics(a) -> tuple[float, float, float]:
     Diagnostic only; never on the differentiated path.
     """
     m = as_sym_array(a)
+    if not np.isfinite(m).all():
+        raise ValueError("eig_diagnostics: matrix has non-finite entries")
     vals = np.linalg.eigvalsh(m)
     lo, hi = float(vals[0]), float(vals[-1])
     cond = hi / lo if lo != 0.0 else float("inf")

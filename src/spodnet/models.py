@@ -63,7 +63,12 @@ class MlpSpec:
 
 
 class Mlp:
-    """Fully connected ReLU network over tape tensors."""
+    """Fully connected ReLU network, applied as one tape op per call.
+
+    The numpy forward keeps every layer's input and pre-activation; the
+    hand-written adjoint runs back through the ``abs`` head's sign and the
+    ReLU masks, both of which pass 0 at their kink.
+    """
 
     def __init__(self, spec: MlpSpec, rng: np.random.Generator):
         self.spec = spec
@@ -76,15 +81,27 @@ class Mlp:
             self.biases.append(ad.parameter(np.zeros(fan_out)))
 
     def __call__(self, x: Tensor) -> Tensor:
-        h = x
-        last = len(self.weights) - 1
-        for idx, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = ad.add(ad.matmul(w, h), b)
-            if idx < last:
-                h = ad.relu(h)
-        if self.spec.out_activation == "abs":
-            return ad.absval(h)
-        return h
+        ws = [w.data for w in self.weights]
+        abs_head = self.spec.out_activation == "abs"
+        inputs, pre = [x.data], []
+        for w, b in zip(ws, self.biases):
+            if pre:
+                inputs.append(np.maximum(pre[-1], 0.0))
+            pre.append(w @ inputs[-1] + b.data)
+
+        def vjp(g):
+            if abs_head:
+                g = g * np.sign(pre[-1])
+            dparams = []
+            for k in range(len(ws) - 1, -1, -1):
+                dparams[:0] = (np.outer(g, inputs[k]), g)
+                g = ws[k].T @ g
+                if k:
+                    g = g * (pre[k - 1] > 0.0)
+            return (g, *dparams)
+
+        out = np.abs(pre[-1]) if abs_head else pre[-1]
+        return ad.apply_op(out, (x, *self.tensors()), vjp)
 
     def tensors(self) -> list[Tensor]:
         out = []
@@ -263,6 +280,8 @@ def load_checkpoint(path) -> tuple[ModelParams, core.LayerConfig]:
             if arr.shape != t.data.shape:
                 raise ValueError(f"shape mismatch for {name!r}: "
                                  f"{arr.shape} vs {t.data.shape}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"parameter {name!r} has non-finite values")
             t.data[...] = arr
         if remaining:
             raise ValueError(f"checkpoint is missing parameters: {sorted(remaining)}")

@@ -6,50 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from spodnet import autodiff as ad
 from spodnet.autodiff import DomainError, ShapeError, Tape, Tensor
+from spodnet.models import Mlp, MlpSpec
 
 
-def _grad_by_hand(fn, x0, h=1e-6):
-    """Central differences of a scalar numpy function, entry by entry."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    g = np.zeros_like(x0)
-    flat = x0.reshape(-1)
-    gf = g.reshape(-1)
-    for j in range(flat.size):
-        orig = flat[j]
-        flat[j] = orig + h
-        fp = fn(x0)
-        flat[j] = orig - h
-        fm = fn(x0)
-        flat[j] = orig
-        gf[j] = (fp - fm) / (2 * h)
-    return g
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = ad.constant(np.eye(2))
-        b = ad.constant([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(ad.matmul(a, b).data, b.data)
-
-    def test_hand_product(self):
-        a = ad.constant([[1.0, 2.0]])
-        b = ad.constant([[3.0], [4.0]])
-        assert np.array_equal(ad.matmul(a, b).data, [[11.0]])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 3))))
-
-    def test_gradient_vs_finite_differences(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((4, 4))
-        x = ad.parameter(rng.standard_normal(4))
-
-        with Tape():
-            ad.backward(ad.matmul(ad.constant(a), x).sum())
-        expected = _grad_by_hand(lambda v: float((a @ v).sum()), x.data)
-        rel = np.abs(x.grad - expected) / np.maximum(1.0, np.abs(expected))
-        assert rel.max() <= 1e-6
+def _mlp(widths, seed, out_activation="identity"):
+    return Mlp(MlpSpec(tuple(widths), out_activation), np.random.default_rng(seed))
 
 
 class TestSoftThreshold:
@@ -89,10 +50,6 @@ class TestSoftThreshold:
 
 
 class TestElementwise:
-    def test_relu(self):
-        assert np.array_equal(ad.relu(ad.constant([-1.0, 0.0, 2.0])).data,
-                              [0.0, 0.0, 2.0])
-
     def test_quadratic_form_identity(self):
         q = ad.quadratic_form(ad.constant([1.0, 1.0]), ad.constant(np.eye(2)))
         assert q.item() == 2.0
@@ -113,14 +70,6 @@ class TestElementwise:
         with pytest.raises(ShapeError):
             ad.add(ad.constant([1.0, 2.0]), ad.constant([1.0, 2.0, 3.0]))
 
-    def test_sqrt_domain(self):
-        with pytest.raises(DomainError):
-            ad.sqrt(ad.constant([1.0, 0.0]))
-
-    def test_reciprocal_domain(self):
-        with pytest.raises(DomainError):
-            ad.reciprocal(ad.constant([-2.0]))
-
 
 class TestBackward:
     def test_sum_gives_ones(self):
@@ -130,10 +79,13 @@ class TestBackward:
         assert np.array_equal(x.grad, [1.0, 1.0, 1.0])
 
     def test_dead_relu_blocks_gradient(self):
-        w = ad.parameter(3.0)
+        net = _mlp((2, 3, 1), 0)
+        net.biases[0].data[...] = -10.0  # every hidden pre-activation < 0
         with Tape():
-            ad.backward(ad.mul(ad.relu(ad.constant(-2.0)), w))
-        assert w.grad == 0.0
+            ad.backward(net(ad.constant([0.5, -0.25])).sum())
+        assert not net.weights[0].grad.any()
+        assert not net.biases[0].grad.any()
+        assert net.biases[1].grad[0] == 1.0
 
     def test_non_scalar_loss_rejected(self):
         x = ad.parameter([1.0, 2.0])
@@ -192,14 +144,9 @@ class TestFiniteDiffCheck:
 
     def test_relu_network_at_non_kink(self):
         rng = np.random.default_rng(2)
-        w1 = ad.parameter(rng.standard_normal((4, 3)))
-        w2 = ad.parameter(rng.standard_normal((1, 4)))
+        net = _mlp((3, 4, 1), 2)
         x = ad.constant(rng.standard_normal(3) + 0.5)
-
-        def loss():
-            return ad.matmul(w2, ad.relu(ad.matmul(w1, x))).sum()
-
-        assert ad.finite_diff_check(loss, [w1, w2]) <= 1e-5
+        assert ad.finite_diff_check(lambda: net(x).sum(), net.tensors()) <= 1e-5
 
     def test_constant_function(self):
         x = ad.parameter([3.0])
@@ -235,39 +182,12 @@ class TestPrimitiveGradients:
     def test_scale_and_neg(self):
         self._check(lambda a: ad.mul(ad.scale(a, 1.7), a).sum(), 1, 13)
 
-    def test_matvec(self):
-        rng = np.random.default_rng(14)
-        w = ad.parameter(rng.standard_normal((3, 4)))
-        x = ad.parameter(rng.standard_normal(4))
-        err = ad.finite_diff_check(
-            lambda: ad.mul(ad.matmul(w, x), ad.matmul(w, x)).sum(), [w, x])
-        assert err <= self.TOL
-
-    def test_matmat(self):
-        rng = np.random.default_rng(15)
-        a = ad.parameter(rng.standard_normal((3, 4)))
-        b = ad.parameter(rng.standard_normal((4, 2)))
-        err = ad.finite_diff_check(lambda: ad.matmul(a, b).sum(), [a, b])
-        assert err <= self.TOL
-
     def test_quadratic_form(self):
         rng = np.random.default_rng(17)
         z = ad.parameter(rng.standard_normal(4))
         m = ad.parameter(rng.standard_normal((4, 4)))
         err = ad.finite_diff_check(lambda: ad.quadratic_form(z, m), [z, m])
         assert err <= self.TOL
-
-    def test_relu_non_kink(self):
-        self._check(lambda a: ad.mul(ad.relu(a), ad.relu(a)).sum(), 1, 18, shift=0.3)
-
-    def test_abs_non_kink(self):
-        self._check(lambda a: ad.absval(a).sum(), 1, 19, shift=2.0)
-
-    def test_sqrt(self):
-        self._check(lambda a: ad.sqrt(a).sum(), 1, 20, shift=3.0)
-
-    def test_reciprocal(self):
-        self._check(lambda a: ad.reciprocal(a).sum(), 1, 21, shift=3.0)
 
     def test_soft_threshold_non_kink(self):
         rng = np.random.default_rng(22)

@@ -173,7 +173,71 @@ class TestEval:
             assert "entry 1" in capsys.readouterr().err
 
 
+def _write_checkpoint(path, doc, nan_param=None):
+    """Save ``doc`` at ``path``, first setting entry 0 of ``nan_param`` to NaN."""
+    import base64
+    for rec in doc["params"]:
+        if rec["name"] == nan_param:
+            arr = np.frombuffer(base64.b64decode(rec["data"]), dtype="<f8").copy()
+            arr[0] = np.nan
+            rec["data"] = base64.b64encode(arr.tobytes()).decode("ascii")
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestNonFiniteCheckpoint:
+    def _doc(self, trained):
+        return json.loads((trained / "checkpoint.json").read_text())
+
+    def test_nan_weight_exits_2(self, tmp_path, small_data, trained, capsys):
+        _, test = small_data
+        ckpt = _write_checkpoint(tmp_path / "nan.json", self._doc(trained),
+                                 nan_param="g.w1")
+        for cmd, out in (("eval", "x.json"), ("diagnose", "d")):
+            code = main([cmd, "--checkpoint", ckpt, "--data", str(test),
+                         "--out", str(tmp_path / out)])
+            assert code == 2, cmd
+            assert "'g.w1'" in capsys.readouterr().err
+
+    def test_infinite_zeta_exits_2(self, tmp_path, small_data, trained, capsys):
+        train, test = small_data
+        doc = self._doc(trained)
+        doc["zeta"] = float("inf")
+        ckpt = _write_checkpoint(tmp_path / "inf.json", doc)
+        good = str(trained / "checkpoint.json")
+        for argv in (["eval", "--checkpoint", ckpt, "--data", str(test),
+                      "--out", str(tmp_path / "x.json")],
+                     ["diagnose", "--checkpoint", ckpt, "--data", str(test),
+                      "--out", str(tmp_path / "d")],
+                     ["diagnose", "--checkpoint", good, "--data", str(test),
+                      "--zeta", "inf", "--out", str(tmp_path / "d")],
+                     ["train", "--model", "ubg", "--train", str(train),
+                      "--test", str(test), "--zeta", "inf",
+                      "--out", str(tmp_path / "run")]):
+            assert main(argv) == 2, argv
+            assert "zeta" in capsys.readouterr().err
+
+
 class TestBaseline:
+    @pytest.mark.parametrize("edit", [
+        lambda m: {**m, "extra": 1},
+        lambda m: {k: v for k, v in m.items() if k != "p"},
+        lambda m: {**m, "p": "6"},
+        lambda m: {**m, "num": 2.5},
+        lambda m: [m],
+    ], ids=["extra-key", "missing-p", "string-p", "float-num", "list"])
+    def test_malformed_meta_exits_2(self, tmp_path, small_data, edit, capsys):
+        import shutil
+        _, test = small_data
+        bad = tmp_path / "bad"
+        shutil.copytree(test, bad)
+        meta = json.loads((bad / "meta.json").read_text())
+        (bad / "meta.json").write_text(json.dumps(edit(meta)))
+        code = main(["baseline", "--method", "lw", "--data", str(bad),
+                     "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert "meta.json" in capsys.readouterr().err
+
     def test_lw_all_spd(self, tmp_path, small_data):
         _, test = small_data
         out = tmp_path / "lw.json"

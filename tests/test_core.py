@@ -211,6 +211,20 @@ class TestStabilizer:
         with pytest.raises(ValueError):
             stabilize_preactivation(Tensor([1.0]), Tensor(np.eye(1)), 0.0)
 
+    def test_adjoint_on_both_inputs(self):
+        rng = np.random.default_rng(44)
+        skew = rng.standard_normal((5, 5))
+        # an asymmetric M checks that the adjoint uses M + M', not 2M
+        z = ad.parameter(rng.standard_normal(5))
+        m = ad.parameter(_random_spd(rng, 5) + 0.3 * (skew - skew.T))
+        cot = Tensor(rng.standard_normal(5))
+        with Tape() as tape:
+            stabilize_preactivation(z, m, 2.5)
+        assert len(tape.nodes) == 1
+        err = ad.finite_diff_check(
+            lambda: ad.mul(stabilize_preactivation(z, m, 2.5), cot).sum(), [z, m])
+        assert err <= 1e-7
+
 
 class TestLayer:
     def test_fixed_point_identity_update(self):
@@ -342,6 +356,11 @@ class TestForward:
             LayerConfig(zeta=0.0)
         with pytest.raises(ValueError):
             LayerConfig(zeta=-1.0)
+
+    @pytest.mark.parametrize("zeta", [np.inf, np.nan])
+    def test_non_finite_zeta_rejected(self, zeta):
+        with pytest.raises(ValueError, match="finite"):
+            LayerConfig(zeta=zeta)
 
     def test_modes_agree_in_value(self):
         rng = np.random.default_rng(10)

@@ -134,6 +134,13 @@ class TestEigDiagnostics:
     def test_identity(self):
         assert eig_diagnostics(np.eye(4)) == (1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        a = np.eye(3)
+        a[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            eig_diagnostics(a)
+
     def test_characteristic_polynomial(self):
         lo, hi, cond = eig_diagnostics(np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert abs(lo - 1.0) <= 1e-12

@@ -38,6 +38,32 @@ def _ctx(p, theta12, s12, w12, theta11_inv=None, theta22=1.0, s22=1.0,
     )
 
 
+class TestMlpOp:
+    """One tape op per call; its adjoint passes central differences on
+    every input under a random cotangent."""
+
+    def _net(self, head):
+        rng = np.random.default_rng(3)
+        net = models.Mlp(models.MlpSpec((4, 5, 3, 2), head), rng)
+        for b in net.biases:  # keep every pre-activation off the kinks
+            b.data[...] = rng.standard_normal(b.data.shape)
+        return net, ad.parameter(rng.standard_normal(4)), rng
+
+    def test_one_tape_node_per_call(self):
+        net, x, _ = self._net("abs")
+        with ad.Tape() as tape:
+            net(x)
+        assert len(tape.nodes) == 1
+
+    @pytest.mark.parametrize("head", ["identity", "abs"])
+    def test_adjoint_on_every_input(self, head):
+        net, x, rng = self._net(head)
+        cot = Tensor(rng.standard_normal(2))
+        inputs = [x, *net.tensors()]
+        err = ad.finite_diff_check(lambda: ad.mul(net(x), cot).sum(), inputs)
+        assert err <= 1e-7
+
+
 class TestArchitectures:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_shapes(self, variant):
@@ -321,6 +347,14 @@ class TestCheckpoint:
         doc["params"] = doc["params"][:-1]
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    def test_non_finite_parameter_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        params = init_params("ubg", 5, seed=0)
+        params.nets["lambda"].biases[0].data[2] = np.inf
+        save_checkpoint(path, params, LayerConfig())
+        with pytest.raises(ValueError, match="'lambda.b0'"):
             load_checkpoint(path)
 
     def test_malformed_checkpoint_rejected(self, tmp_path):
