@@ -10,13 +10,12 @@ hand-written adjoint.
 All data is float64 and the only broadcasting allowed is
 scalar-with-tensor. A Tape is a per-forward-pass object, discarded after
 the backward sweep; leaf gradients accumulate additively until cleared
-with ``zero_grad``. Tapes are tracked per thread, so independent samples
-may run forward/backward concurrently on their own tapes.
+with ``zero_grad``. Open tapes live on one module-level stack, so a
+process runs one forward/backward at a time.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -50,21 +49,12 @@ class DomainError(ValueError):
     """Operand values lie outside an operation's domain."""
 
 
-_LOCAL = threading.local()
-
-
-def _stack() -> list:
-    stack = getattr(_LOCAL, "tapes", None)
-    if stack is None:
-        stack = []
-        _LOCAL.tapes = stack
-    return stack
+_TAPES: list = []
 
 
 def active_tape():
-    """The innermost open Tape on this thread, or None."""
-    stack = _stack()
-    return stack[-1] if stack else None
+    """The innermost open Tape, or None."""
+    return _TAPES[-1] if _TAPES else None
 
 
 class Tensor:
@@ -120,11 +110,11 @@ class Tape:
         self._produced: set[int] = set()
 
     def __enter__(self) -> "Tape":
-        _stack().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _stack().pop()
+        popped = _TAPES.pop()
         if popped is not self:
             raise RuntimeError("tape contexts exited out of order")
         return False

@@ -45,16 +45,14 @@ _MAX_BACKTRACKS = 60
 
 @dataclass(frozen=True)
 class GlassoConfig:
-    """Solver knobs: penalty, sweep budget, per-sweep objective tolerance,
-    proximal steps per block, initial step size, and whether the step size
-    backtracks (halving until the block objective decreases) or stays fixed."""
+    """Solver knobs: penalty, sweep budget, per-sweep objective tolerance
+    and proximal steps per block. Each step starts at size 1 and halves
+    until the block objective does not increase."""
 
     lam: float = 0.1
     max_sweeps: int = 500
     tol: float = 1e-10
     inner_steps: int = 5
-    step_size: float = 1.0
-    step_rule: str = "backtracking"  # or "fixed"
 
     def __post_init__(self):
         if self.lam < 0.0:
@@ -63,10 +61,6 @@ class GlassoConfig:
             raise ValueError("tol must be > 0")
         if self.max_sweeps < 1 or self.inner_steps < 1:
             raise ValueError("max_sweeps and inner_steps must be >= 1")
-        if not self.step_size > 0.0:
-            raise ValueError("step_size must be > 0")
-        if self.step_rule not in ("backtracking", "fixed"):
-            raise ValueError(f"unknown step_rule {self.step_rule!r}")
 
 
 def empirical_covariance(samples) -> np.ndarray:
@@ -119,7 +113,7 @@ def _update_block(theta: np.ndarray, w: np.ndarray, sd: np.ndarray, i: int,
     h_cur = _block_objective(x, mx, s12, s22, cfg.lam)
     for _ in range(cfg.inner_steps):
         w12 = -s22 * mx  # inverse column implied by the pinned diagonal
-        gamma = cfg.step_size
+        gamma = 1.0
         moved = False
         for _ in range(_MAX_BACKTRACKS):
             cand = block_gista_step(x, s12, w12, gamma, cfg.lam)
@@ -127,7 +121,7 @@ def _update_block(theta: np.ndarray, w: np.ndarray, sd: np.ndarray, i: int,
                 break
             mc = m @ cand
             h_new = _block_objective(cand, mc, s12, s22, cfg.lam)
-            if cfg.step_rule == "fixed" or h_new <= h_cur:
+            if h_new <= h_cur:
                 x, mx, h_cur = cand, mc, h_new
                 moved = True
                 break

@@ -13,9 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import csv
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -63,23 +61,8 @@ def _json_dump(path, doc) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _threads(args) -> int:
-    n = args.threads if args.threads is not None else (os.cpu_count() or 1)
-    if n < 1:
-        raise UsageError(f"--threads must be >= 1, got {n}")
-    return n
-
-
-def _map_entries(fn, entries, threads: int):
-    if threads == 1 or len(entries) <= 1:
-        return [fn(e) for e in entries]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, entries))
-
-
-def _write_report(out, entries, estimates, method: str) -> None:
-    """Score the estimates, tag them with ``method`` and write the report."""
-    report = training.score_estimates(entries, estimates)
+def _write_report(out, report: dict, method: str) -> None:
+    """Tag a scored report with ``method`` and write it."""
     for row in report["samples"]:
         row["method"] = method
     report["method"] = method
@@ -155,14 +138,8 @@ def cmd_eval(args) -> int:
                          f"p={ds.config.p}")
     if not ds.entries:
         raise UsageError("--data: dataset is empty")
-    threads = _threads(args)
-
-    def one(entry):
-        state = models.forward(entry.s, params, layer_cfg)
-        return state.theta.data
-
-    estimates = _map_entries(one, ds.entries, threads)
-    _write_report(out, ds.entries, estimates, f"model:{params.variant}")
+    report = training.evaluate(params, ds.entries, layer_cfg)
+    _write_report(out, report, f"model:{params.variant}")
     return EXIT_OK
 
 
@@ -177,7 +154,6 @@ def cmd_baseline(args) -> int:
         raise UsageError(
             f"--method {method} needs raw samples; regenerate the dataset "
             "with gen-data --keep-samples")
-    threads = _threads(args)
 
     if method == "glasso":
         _positive(args.lam, "--lambda")
@@ -211,8 +187,8 @@ def cmd_baseline(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown method {method!r}")
 
-    estimates = _map_entries(one, ds.entries, threads)
-    _write_report(out, ds.entries, estimates, method)
+    report = training.score_estimates(ds.entries, [one(e) for e in ds.entries])
+    _write_report(out, report, method)
     return EXIT_OK
 
 
@@ -241,10 +217,14 @@ def cmd_diagnose(args) -> int:
         writer.writerow(("sample_id", "layer", "update", "pivot",
                          "min_eig", "max_diag", "cond"))
         for idx, entry in enumerate(entries):
-            events = training.collect_update_events(params, entry.s, layer_cfg)
+            events: list[core.UpdateEvent] = []
+            try:
+                models.forward(entry.s, params, layer_cfg, hook=events.append)
+            except core.SpdViolation as exc:
+                raise core.SpdViolation(f"sample {idx}: {exc}") from exc
             trace = training.spectral_trace([ev.theta_after for ev in events])
             for ev, (_, lo, max_diag, cond) in zip(events, trace):
-                writer.writerow((idx, ev.layer, ev.step, ev.i, repr(lo),
+                writer.writerow((idx, ev.layer, ev.i, ev.i, repr(lo),
                                  repr(max_diag), repr(cond)))
                 lam_hi, lam_lo = core.rank2_delta_eigs(ev.col_diff, ev.diag_diff)
                 ok, excess = core.bauer_fike_check(
@@ -312,7 +292,6 @@ def _build_parser(file_defaults: dict | None = None) -> argparse.ArgumentParser:
     e.add_argument("--checkpoint")
     e.add_argument("--data")
     e.add_argument("--out", help="output JSON path")
-    e.add_argument("--threads", type=int, default=None)
     e.set_defaults(func=cmd_eval)
 
     b = with_defaults(sub.add_parser("baseline", help="run a baseline method"))
@@ -325,7 +304,6 @@ def _build_parser(file_defaults: dict | None = None) -> argparse.ArgumentParser:
     b.add_argument("--grid-size", type=int, default=10)
     b.add_argument("--max-sweeps", type=int, default=200)
     b.add_argument("--tol", type=float, default=1e-8)
-    b.add_argument("--threads", type=int, default=None)
     b.set_defaults(func=cmd_baseline)
 
     d = with_defaults(sub.add_parser("diagnose",

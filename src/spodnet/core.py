@@ -23,16 +23,18 @@ recursion across columns (the matrix path itself stays fully on the tape).
 In ``full`` mode the inverse is maintained as tape tensors and gradients
 flow through everything. Both modes run the same numpy functions, so
 their values are bit-identical; only the differentiated dependency
-structure differs. A record/replay facility freezes the inverse-derived
-inputs of every update so the detached gradient can be checked against
-finite differences of the function it actually differentiates.
+structure differs. A forward pass is observed through one hook, called
+after every column update with an :class:`UpdateEvent`; replaying the
+events' inverse-derived inputs (``w_replay``) freezes them, so the detached
+gradient can be checked against finite differences of the function it
+actually differentiates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -84,7 +86,6 @@ class LayerConfig:
 
     zeta: float = 1.0
     num_layers: int = 1
-    column_order: str | Sequence[int] = "natural"
     stabilize: bool = True
     tape_mode: str = "detached"
     validate: bool = True
@@ -96,16 +97,6 @@ class LayerConfig:
             raise ValueError("num_layers must be >= 1")
         if self.tape_mode not in ("detached", "full"):
             raise ValueError(f"unknown tape_mode {self.tape_mode!r}")
-
-    def order(self, p: int) -> Sequence[int]:
-        if isinstance(self.column_order, str):
-            if self.column_order != "natural":
-                raise ValueError(f"unknown column order {self.column_order!r}")
-            return range(p)
-        order = [int(i) for i in self.column_order]
-        if sorted(order) != list(range(p)):
-            raise ValueError("column_order must be a permutation of 0..p-1")
-        return order
 
 
 @dataclass
@@ -164,16 +155,28 @@ class UpdateFns:
 
 @dataclass
 class UpdateEvent:
-    """Snapshot handed to diagnostics hooks after each column update."""
+    """What a hook sees after updating pivot ``i``: the layer's own arrays,
+    by reference (each update allocates fresh ones; do not write to them),
+    the update's inverse-derived inputs and its Schur margin ``v``."""
 
     layer: int
-    step: int
     i: int
     theta_before: np.ndarray
     theta_after: np.ndarray
     w_after: np.ndarray
-    col_diff: np.ndarray
-    diag_diff: float
+    theta11_inv: np.ndarray
+    w12: np.ndarray
+    v: float
+
+    @property
+    def col_diff(self) -> np.ndarray:
+        rest = linalg.rest_indices(self.theta_after.shape[0], self.i)
+        return self.theta_after[rest, self.i] - self.theta_before[rest, self.i]
+
+    @property
+    def diag_diff(self) -> float:
+        i = self.i
+        return float(self.theta_after[i, i] - self.theta_before[i, i])
 
 
 @lru_cache(maxsize=None)
@@ -234,7 +237,7 @@ def theta11_inverse_np(w: np.ndarray, i: int) -> np.ndarray:
     rest = linalg.rest_indices(w.shape[0], i)
     w22 = w[i, i]
     if not w22 > 0.0:
-        raise SpdViolation("inverse pivot w22 is not positive")
+        raise SpdViolation(f"inverse w22 = {float(w22)!r} at pivot {i} is not positive")
     w12 = w[rest, i]
     return w[_rest_grid(w.shape[0], i)] - np.outer(w12, w12) / w22
 
@@ -384,12 +387,12 @@ def bauer_fike_check(theta_before, theta_after, delta_op_norm: float,
 
 def spodnet_layer(state: SpdState, fns: UpdateFns, cfg: LayerConfig,
                   s: np.ndarray, *, layer_index: int = 0, hook=None,
-                  w_record: list | None = None, w_replay: list | None = None,
-                  replay_base: int = 0) -> SpdState:
-    """One full cycle of column-row updates in ``cfg.order(p)``.
+                  w_replay: list | None = None) -> SpdState:
+    """One full cycle of column-row updates, pivots 0..p-1 in order.
 
-    ``w_record``/``w_replay`` capture and replay the inverse-derived inputs
-    of every update, in order, as (reduced_inverse, w12) pairs.
+    ``hook`` gets an :class:`UpdateEvent` after every update. ``w_replay``
+    supplies this layer's (theta11_inv, w12) pairs, one per pivot, in place
+    of those read off the maintained inverse.
     """
     sd = np.asarray(s, dtype=np.float64)
     p = state.p
@@ -398,19 +401,17 @@ def spodnet_layer(state: SpdState, fns: UpdateFns, cfg: LayerConfig,
     theta = state.theta
     w = state.w if use_tape_w else Tensor(state.w.data)
 
-    for step, i in enumerate(cfg.order(p)):
+    for i in range(p):
         rest = linalg.rest_indices(p, i)
         if w_replay is not None:
-            rec_inv, rec_w12 = w_replay[replay_base + step]
+            rec_inv, rec_w12 = w_replay[i]
             t11inv = Tensor(rec_inv)
             w12 = Tensor(rec_w12)
         else:
             t11inv = theta11_inverse(w, i)
             w12 = col_off(w, i)
-        if w_record is not None:
-            w_record.append((np.array(t11inv.data), np.array(w12.data)))
 
-        theta_before = np.array(theta.data) if hook is not None else None
+        theta_before = theta.data
         ctx = ColumnContext(
             i=i,
             theta12=col_off(theta, i),
@@ -432,16 +433,8 @@ def spodnet_layer(state: SpdState, fns: UpdateFns, cfg: LayerConfig,
              else Tensor(w_plus_np(t11inv.data, u.data, vval, i)))
 
         if hook is not None:
-            hook(UpdateEvent(
-                layer=layer_index,
-                step=step,
-                i=i,
-                theta_before=theta_before,
-                theta_after=np.array(theta.data),
-                w_after=np.array(w.data),
-                col_diff=u.data - theta_before[rest, i],
-                diag_diff=float(theta.data[i, i] - theta_before[i, i]),
-            ))
+            hook(UpdateEvent(layer_index, i, theta_before, theta.data, w.data,
+                             t11inv.data, w12.data, vval))
 
     return SpdState(theta=theta, w=w)
 
@@ -455,32 +448,33 @@ def initial_state(s: np.ndarray) -> SpdState:
 
 
 def spodnet_forward(s, fns: UpdateFns, cfg: LayerConfig, *, hook=None,
-                    w_record: list | None = None,
                     w_replay: list | None = None) -> SpdState:
     """Initialize from the shifted covariance and run ``num_layers`` cycles.
 
     After every layer the inverse is refreshed by a dense factorization,
     which bounds drift of the maintained pair without changing the per-layer
-    complexity class.
+    complexity class. A recording for ``w_replay`` is the (theta11_inv, w12)
+    pair of every event: ``hook=lambda ev: rec.append((ev.theta11_inv,
+    ev.w12))``. An :class:`SpdViolation` names the layer it arose in.
     """
     sd = linalg.as_sym_array(s)
     p = sd.shape[0]
     state = initial_state(sd)
     for k in range(cfg.num_layers):
-        state = spodnet_layer(state, fns, cfg, sd, layer_index=k, hook=hook,
-                              w_record=w_record, w_replay=w_replay,
-                              replay_base=k * p)
-        if w_replay is None:
-            # resynchronize the maintained inverse at every layer boundary
-            try:
-                if cfg.tape_mode == "full":
-                    w = spd_inverse_op(state.theta)
-                else:
-                    w = Tensor(linalg.spd_inverse(state.theta.data))
-            except linalg.NotPositiveDefinite as exc:
-                raise SpdViolation(f"layer {k}: state matrix is not PD at the "
-                                   f"boundary refresh: {exc}") from exc
-            state = SpdState(state.theta, w)
-            if cfg.validate:
-                state.validate()
+        replay = None if w_replay is None else w_replay[k * p:(k + 1) * p]
+        try:
+            state = spodnet_layer(state, fns, cfg, sd, layer_index=k, hook=hook,
+                                  w_replay=replay)
+            if w_replay is None:
+                # resynchronize the maintained inverse at every layer boundary
+                w = (spd_inverse_op(state.theta) if cfg.tape_mode == "full"
+                     else Tensor(linalg.spd_inverse(state.theta.data)))
+                state = SpdState(state.theta, w)
+                if cfg.validate:
+                    state.validate()
+        except linalg.NotPositiveDefinite as exc:
+            raise SpdViolation(f"layer {k}: state matrix is not PD at the "
+                               f"boundary refresh: {exc}") from exc
+        except SpdViolation as exc:
+            raise SpdViolation(f"layer {k}: {exc}") from exc
     return state

@@ -260,6 +260,15 @@ def save_checkpoint(path, params: ModelParams, cfg: core.LayerConfig) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _header(doc: dict, key: str, kind: type, *default):
+    value = doc.get(key, *default) if default else doc[key]
+    # bool subclasses int, so it passes only where a bool is asked for
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"checkpoint field {key!r} must be a JSON {kind.__name__}, "
+                         f"got {value!r}")
+    return value
+
+
 def load_checkpoint(path) -> tuple[ModelParams, core.LayerConfig]:
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
@@ -268,7 +277,8 @@ def load_checkpoint(path) -> tuple[ModelParams, core.LayerConfig]:
     if tag != CHECKPOINT_TAG:
         raise ValueError(f"unrecognized checkpoint format tag {tag!r}")
     try:
-        params = init_params(doc["variant"], int(doc["p"]), int(doc["seed"]))
+        params = init_params(doc["variant"], _header(doc, "p", int),
+                             _header(doc, "seed", int))
         remaining = dict(params.named_tensors())
         for rec in doc["params"]:
             name = rec["name"]
@@ -287,8 +297,8 @@ def load_checkpoint(path) -> tuple[ModelParams, core.LayerConfig]:
             raise ValueError(f"checkpoint is missing parameters: {sorted(remaining)}")
         cfg = core.LayerConfig(
             zeta=float(doc["zeta"]),
-            num_layers=int(doc["num_layers"]),
-            stabilize=bool(doc.get("stabilize", True)),
+            num_layers=_header(doc, "num_layers", int),
+            stabilize=_header(doc, "stabilize", bool, True),
         )
     except KeyError as exc:
         raise ValueError(f"checkpoint lacks key {exc}") from exc

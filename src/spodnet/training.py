@@ -23,7 +23,6 @@ __all__ = [
     "MetricsRow",
     "TrainConfig",
     "adam_step",
-    "collect_update_events",
     "evaluate",
     "f1_support",
     "mse_loss",
@@ -177,9 +176,15 @@ def score_estimates(entries, estimates) -> dict:
 
 
 def evaluate(params: models.ModelParams, entries, cfg: core.LayerConfig) -> dict:
-    """Forward every entry without taping and score the estimates."""
-    return score_estimates(
-        entries, [models.forward(e.s, params, cfg).theta.data for e in entries])
+    """Forward every entry without taping and score the estimates; an
+    :class:`core.SpdViolation` names the sample it arose in."""
+    estimates = []
+    for idx, entry in enumerate(entries):
+        try:
+            estimates.append(models.forward(entry.s, params, cfg).theta.data)
+        except core.SpdViolation as exc:
+            raise core.SpdViolation(f"sample {idx}: {exc}") from exc
+    return score_estimates(entries, estimates)
 
 
 def train(params: models.ModelParams, train_entries, test_entries,
@@ -233,14 +238,6 @@ def spectral_trace(snapshots) -> list[tuple[int, float, float, float]]:
         lo, _, cond = linalg.eig_diagnostics(th)
         rows.append((idx, lo, float(np.diag(th).max()), cond))
     return rows
-
-
-def collect_update_events(params: models.ModelParams, s,
-                          cfg: core.LayerConfig) -> list[core.UpdateEvent]:
-    """One inference forward pass, returning every column-update event."""
-    events: list[core.UpdateEvent] = []
-    models.forward(s, params, cfg, hook=events.append)
-    return events
 
 
 def write_metrics_csv(path, rows) -> None:

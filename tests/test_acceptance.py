@@ -33,19 +33,11 @@ def _random_spd(rng, p):
 
 def _min_margin(params, entries, cfg=None):
     """Smallest margin the model's g emits across forwards; 0 on failure."""
-    fns = models.make_update_fns(params)
     seen = []
-    base_g = fns.g
-
-    def g(ctx, u, q):
-        v = base_g(ctx, u, q)
-        seen.append(float(v.data.reshape(())))
-        return v
-
     try:
         for e in entries:
-            core.spodnet_forward(e.s, core.UpdateFns(fns.f, g),
-                                 cfg or LayerConfig())
+            models.forward(e.s, params, cfg or LayerConfig(),
+                           hook=lambda ev: seen.append(ev.v))
     except (core.SpdViolation, linalg.NotPositiveDefinite):
         return 0.0
     return min(seen)
@@ -179,7 +171,8 @@ class TestCriterion4:
                     # with inverse-derived inputs frozen; replaying them
                     # makes that exact map available to the oracle
                     record = []
-                    models.forward(s, params, cfg, w_record=record)
+                    models.forward(s, params, cfg, hook=lambda ev: record.append(
+                        (ev.theta11_inv, ev.w12)))
                     kwargs = {"w_replay": record}
 
                 def loss():

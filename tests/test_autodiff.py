@@ -213,26 +213,3 @@ def test_tensor_shape_and_item():
         t.item()
     assert Tensor(3.5).item() == 3.5
 
-
-def test_tapes_are_thread_local():
-    import threading
-
-    errors = []
-
-    def worker(seed):
-        rng = np.random.default_rng(seed)
-        x = ad.parameter(rng.standard_normal(6))
-        for _ in range(50):
-            ad.zero_grad([x])
-            with Tape():
-                ad.backward(ad.mul(x, x).sum())
-            if not np.allclose(x.grad, 2 * x.data):
-                errors.append(seed)
-                return
-
-    threads = [threading.Thread(target=worker, args=(s,)) for s in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not errors

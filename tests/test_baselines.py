@@ -108,8 +108,6 @@ class TestGlassoSolve:
             GlassoConfig(lam=-0.1)
         with pytest.raises(ValueError):
             GlassoConfig(tol=0.0)
-        with pytest.raises(ValueError):
-            GlassoConfig(step_rule="newton")
 
 
 class TestGlassoCv:

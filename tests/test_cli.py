@@ -218,6 +218,45 @@ class TestNonFiniteCheckpoint:
             assert "zeta" in capsys.readouterr().err
 
 
+class TestCheckpointHeader:
+    @pytest.mark.parametrize("field,value", [
+        ("stabilize", "false"),
+        ("stabilize", 0),
+        ("num_layers", 1.5),
+        ("num_layers", True),
+        ("seed", 2.7),
+        ("p", "6"),
+    ])
+    def test_mistyped_field_exits_2(self, tmp_path, small_data, trained,
+                                    field, value, capsys):
+        _, test = small_data
+        doc = json.loads((trained / "checkpoint.json").read_text())
+        doc[field] = value
+        ckpt = _write_checkpoint(tmp_path / "bad.json", doc)
+        code = main(["eval", "--checkpoint", ckpt, "--data", str(test),
+                     "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert repr(field) in capsys.readouterr().err
+
+
+class TestSpdViolation:
+    def test_eval_and_diagnose_name_the_sample(self, tmp_path, capsys):
+        # an untrained e2e model whose margin path breaks on entry 1 first
+        data = str(tmp_path / "data")
+        assert main(["gen-data", "--p", "8", "--n", "40", "--num", "40",
+                     "--alpha", "0.9", "--seed", "0", "--out", data]) == 0
+        assert main(["train", "--model", "e2e", "--train", data, "--test", data,
+                     "--seed", "0", "--epochs", "0",
+                     "--out", str(tmp_path / "run")]) == 0
+        ckpt = str(tmp_path / "run" / "checkpoint.json")
+        capsys.readouterr()
+        for cmd, out in (("eval", "x.json"), ("diagnose", "d")):
+            code = main([cmd, "--checkpoint", ckpt, "--data", data,
+                         "--out", str(tmp_path / out)])
+            assert code == 4, cmd
+            assert "sample 1: layer 0:" in capsys.readouterr().err
+
+
 class TestBaseline:
     @pytest.mark.parametrize("edit", [
         lambda m: {**m, "extra": 1},
@@ -344,24 +383,6 @@ class TestConfigFile:
 
     def test_unknown_command_exits_2(self):
         assert main(["frobnicate"]) == 2
-
-
-def test_threads_flag_is_deterministic(tmp_path, small_data):
-    _, test = small_data
-    outs = []
-    for name, workers in (("a.json", "1"), ("b.json", "3")):
-        out = tmp_path / name
-        code = main(["baseline", "--method", "oas", "--data", str(test),
-                     "--threads", workers, "--out", str(out)])
-        assert code == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
-
-
-def test_threads_must_be_positive(tmp_path, small_data):
-    _, test = small_data
-    assert main(["baseline", "--method", "oas", "--data", str(test),
-                 "--threads", "0", "--out", str(tmp_path / "x.json")]) == 2
 
 
 def test_gen_data_io_failure_exits_3():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spodnet import autodiff as ad
-from spodnet import core, linalg, models
+from spodnet import core, datagen, linalg, models
 from spodnet.autodiff import Tape, Tensor
 from spodnet.core import (LayerConfig, SpdState, SpdViolation, UpdateFns,
                           bauer_fike_check, rank2_delta_eigs,
@@ -246,7 +246,6 @@ class TestLayer:
     def test_random_models_stay_spd(self):
         # healthy-init seeds; degenerate margin seeds are exercised elsewhere
         rng = np.random.default_rng(7)
-        from spodnet import datagen
         okay = 0
         seed = 0
         trials = 0
@@ -267,7 +266,6 @@ class TestLayer:
 
     def test_pair_residual_inside_layer(self):
         rng = np.random.default_rng(8)
-        from spodnet import datagen
         entry_rng = datagen.make_rng(5)
         theta_true = datagen.make_sparse_spd(20, 0.9, 0.1, entry_rng)
         s, _ = datagen.sample_covariance(theta_true, 80, entry_rng)
@@ -284,19 +282,6 @@ class TestLayer:
         models.forward(s, params, LayerConfig(), hook=hook)
         assert len(worst) == 20
         assert max(worst) <= 1e-8
-
-    def test_column_order_override(self):
-        order = [2, 0, 1]
-        pivots = []
-        state = SpdState(Tensor(np.eye(3)), Tensor(np.eye(3)))
-        core.spodnet_layer(state, _constant_fns(0.0, 1.0),
-                           LayerConfig(column_order=order), np.zeros((3, 3)),
-                           hook=lambda ev: pivots.append(ev.i))
-        assert pivots == order
-
-    def test_bad_column_order_rejected(self):
-        with pytest.raises(ValueError):
-            LayerConfig(column_order=[0, 0, 2]).order(3)
 
     def test_nonpositive_margin_raises(self):
         state = SpdState(Tensor(np.eye(3)), Tensor(np.eye(3)))
@@ -364,7 +349,6 @@ class TestForward:
 
     def test_modes_agree_in_value(self):
         rng = np.random.default_rng(10)
-        from spodnet import datagen
         entry_rng = datagen.make_rng(17)
         theta_true = datagen.make_sparse_spd(8, 0.9, 0.1, entry_rng)
         s, _ = datagen.sample_covariance(theta_true, 50, entry_rng)
@@ -376,7 +360,6 @@ class TestForward:
 
 class TestGradients:
     def _entry(self, p=6, n=20, seed=21):
-        from spodnet import datagen
         rng = datagen.make_rng(seed)
         theta_true = datagen.make_sparse_spd(p, 0.9, 0.1, rng)
         s, _ = datagen.sample_covariance(theta_true, n, rng)
@@ -402,7 +385,7 @@ class TestGradients:
         params = models.init_params("ubg", 6, seed=2)
         cfg = LayerConfig(tape_mode="detached")
         record: list = []
-        models.forward(s, params, cfg, w_record=record)
+        models.forward(s, params, cfg, hook=_recorder(record))
 
         def loss():
             out = models.forward(s, params, cfg, w_replay=record)
@@ -416,9 +399,51 @@ class TestGradients:
         params = models.init_params("ubg", 6, seed=2)
         cfg = LayerConfig(tape_mode="detached")
         record: list = []
-        plain = models.forward(s, params, cfg, w_record=record)
+        plain = models.forward(s, params, cfg, hook=_recorder(record))
         replayed = models.forward(s, params, cfg, w_replay=record)
         assert np.array_equal(plain.theta.data, replayed.theta.data)
+
+
+def _recorder(record: list):
+    """A hook that records each update's inverse-derived inputs for replay."""
+    return lambda ev: record.append((ev.theta11_inv, ev.w12))
+
+
+class TestHook:
+    def _setup(self):
+        rng = datagen.make_rng(31)
+        theta_true = datagen.make_sparse_spd(6, 0.9, 0.1, rng)
+        s, _ = datagen.sample_covariance(theta_true, 20, rng)
+        return s, models.init_params("ubg", 6, seed=2)
+
+    def test_two_layer_replay_reproduces_plain_forward(self):
+        s, params = self._setup()
+        cfg = LayerConfig(num_layers=2, tape_mode="detached")
+        record: list = []
+        plain = models.forward(s, params, cfg, hook=_recorder(record))
+        assert len(record) == 2 * 6
+        replayed = models.forward(s, params, cfg, w_replay=record)
+        assert np.array_equal(plain.theta.data, replayed.theta.data)
+
+    def test_events_chain_by_reference(self):
+        s, params = self._setup()
+        events: list = []
+        out = models.forward(s, params, LayerConfig(num_layers=2),
+                             hook=events.append)
+        assert [(ev.layer, ev.i) for ev in events] == [
+            (k, i) for k in range(2) for i in range(6)]
+        for prev, ev in zip(events, events[1:]):
+            assert ev.theta_before is prev.theta_after
+        assert events[-1].theta_after is out.theta.data
+
+    def test_hook_does_not_change_the_output(self):
+        s, params = self._setup()
+        for mode in ("detached", "full"):
+            cfg = LayerConfig(num_layers=2, tape_mode=mode)
+            plain = models.forward(s, params, cfg)
+            hooked = models.forward(s, params, cfg, hook=lambda ev: None)
+            assert np.array_equal(plain.theta.data, hooked.theta.data)
+            assert np.array_equal(plain.w.data, hooked.w.data)
 
 
 class TestRank2Eigs:
@@ -529,7 +554,6 @@ class TestMultiLayerGradients:
         # whole-model two-layer finite differencing is ill-posed: thresholded
         # layer-one columns sit exactly on the stabilizer's degenerate guard,
         # where the rescaling map jumps by construction
-        from spodnet import datagen
         rng = datagen.make_rng(31)
         theta_true = datagen.make_sparse_spd(5, 0.85, 0.1, rng)
         s, _ = datagen.sample_covariance(theta_true, 40, rng)

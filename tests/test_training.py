@@ -219,8 +219,9 @@ class TestSpectralTrace:
     def test_collects_one_event_per_update(self):
         ds = _dataset(num=1)
         params = models.init_params("ubg", 10, seed=0)
-        events = training.collect_update_events(params, ds.entries[0].s,
-                                                LayerConfig(num_layers=2))
+        events = []
+        models.forward(ds.entries[0].s, params, LayerConfig(num_layers=2),
+                       hook=events.append)
         assert len(events) == 2 * 10
         rows = spectral_trace([ev.theta_after for ev in events])
         assert all(row[1] > 0.0 for row in rows)
