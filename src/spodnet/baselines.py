@@ -184,8 +184,10 @@ def glasso_kkt_residual(theta, s, lam: float) -> float:
     return res
 
 
-def default_lambda_grid(samples, size: int = 10) -> list[float]:
-    """Log-spaced grid over [0.01, 1] times the largest off-diagonal of S."""
+def default_lambda_grid(samples, size: int) -> list[float]:
+    """``size`` log-spaced values over [0.01, 1] times S's largest off-diagonal."""
+    if size < 1:
+        raise ValueError(f"grid size must be >= 1, got {size}")
     s = empirical_covariance(samples)
     off = s.copy()
     np.fill_diagonal(off, 0.0)
@@ -201,9 +203,10 @@ def _holdout_nll(theta, s_holdout) -> float:
     return -2.0 * float(np.log(np.diag(L)).sum()) + float((s_holdout * td).sum())
 
 
-def glasso_cv(samples, lambda_grid=None, folds: int = 5,
+def glasso_cv(samples, lambda_grid, folds: int = 5,
               cfg: GlassoConfig | None = None) -> tuple[float, np.ndarray]:
-    """Pick the penalty by K-fold held-out Gaussian negative log-likelihood.
+    """Pick the penalty from ``lambda_grid`` (see :func:`default_lambda_grid`)
+    by K-fold held-out Gaussian negative log-likelihood.
 
     Contiguous folds, mean score per grid value, ties resolved toward the
     larger (sparser) penalty; the winner is refit on all samples.
@@ -218,8 +221,7 @@ def glasso_cv(samples, lambda_grid=None, folds: int = 5,
     if int(np.diff(bounds).min()) < 2:
         raise ValueError(f"{folds} folds over {n} samples leaves a fold "
                          "with fewer than 2 samples")
-    grid = sorted(float(v) for v in (lambda_grid if lambda_grid is not None
-                                     else default_lambda_grid(x)))
+    grid = sorted(float(v) for v in lambda_grid)
     if not grid:
         raise ValueError("lambda grid is empty")
     cfg = cfg if cfg is not None else GlassoConfig()

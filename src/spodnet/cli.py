@@ -99,12 +99,7 @@ def cmd_train(args) -> int:
     if train_ds.config.p != test_ds.config.p:
         raise UsageError(f"--train has p={train_ds.config.p} but --test has "
                          f"p={test_ds.config.p}")
-    _positive(args.zeta, "--zeta")
     _positive(args.lr, "--lr")
-    if args.epochs < 0:
-        raise UsageError(f"--epochs must be >= 0, got {args.epochs}")
-    if args.batch_size < 1:
-        raise UsageError(f"--batch-size must be >= 1, got {args.batch_size}")
     layer_cfg = core.LayerConfig(zeta=args.zeta, num_layers=args.layers,
                                  stabilize=not args.no_stabilizer,
                                  tape_mode=args.tape_mode)
@@ -136,8 +131,6 @@ def cmd_eval(args) -> int:
     if ds.config.p != params.p:
         raise UsageError(f"checkpoint has p={params.p} but dataset has "
                          f"p={ds.config.p}")
-    if not ds.entries:
-        raise UsageError("--data: dataset is empty")
     report = training.evaluate(params, ds.entries, layer_cfg)
     _write_report(out, report, f"model:{params.variant}")
     return EXIT_OK
@@ -146,8 +139,6 @@ def cmd_eval(args) -> int:
 def cmd_baseline(args) -> int:
     out = _require(args, "out", "--out")
     ds = _load_dataset(args.data, "--data")
-    if not ds.entries:
-        raise UsageError("--data: dataset is empty")
     method = args.method
     needs_samples = method in ("glasso-cv", "lw", "oas")
     if needs_samples and ds.entries[0].samples is None:
@@ -164,10 +155,6 @@ def cmd_baseline(args) -> int:
             return baselines.glasso_solve(entry.s, cfg)
 
     elif method == "glasso-cv":
-        if args.folds < 2:
-            raise UsageError(f"--folds must be >= 2, got {args.folds}")
-        if args.grid_size < 1:
-            raise UsageError(f"--grid-size must be >= 1, got {args.grid_size}")
         cfg = baselines.GlassoConfig(max_sweeps=args.max_sweeps, tol=args.tol)
 
         def one(entry):
@@ -196,7 +183,6 @@ def cmd_diagnose(args) -> int:
     out_dir = Path(_require(args, "out", "--out"))
     params, layer_cfg = _load_checkpoint(args)
     if args.zeta is not None:
-        _positive(args.zeta, "--zeta")
         layer_cfg = replace(layer_cfg, zeta=args.zeta)
     ds = _load_dataset(args.data, "--data")
     if ds.config.p != params.p:
@@ -205,8 +191,6 @@ def cmd_diagnose(args) -> int:
     if args.limit < 0:
         raise UsageError(f"--limit must be >= 0, got {args.limit}")
     entries = ds.entries[:args.limit] if args.limit else ds.entries
-    if not entries:
-        raise UsageError("--data: dataset is empty")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     violations = 0
@@ -317,12 +301,18 @@ def _build_parser(file_defaults: dict | None = None) -> argparse.ArgumentParser:
                    help="diagnose only the first N samples (0 = all)")
     d.set_defaults(func=cmd_diagnose)
 
-    if file_defaults:
-        for p in built:
-            dests = {a.dest for a in p._actions}
-            p.set_defaults(**{k.replace("-", "_"): v
-                              for k, v in file_defaults.items()
-                              if k.replace("-", "_") in dests})
+    if file_defaults is not None:
+        # a key may name an option of any subcommand, so one file can serve
+        # several; a key that names none is a typo
+        if not isinstance(file_defaults, dict):
+            raise ValueError("expected a JSON object of option values")
+        values = {k.replace("-", "_"): v for k, v in file_defaults.items()}
+        dests = [{a.dest for a in p._actions} - {"help"} for p in built]
+        unknown = sorted(set(values).difference(*dests))
+        if unknown:
+            raise ValueError(f"no subcommand has an option named {unknown}")
+        for p, names in zip(built, dests):
+            p.set_defaults(**{k: v for k, v in values.items() if k in names})
 
     return parser
 
@@ -332,17 +322,15 @@ def main(argv=None) -> int:
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
-    file_defaults = None
-    if known.config:
-        try:
-            file_defaults = json.loads(Path(known.config).read_text())
-        except OSError as exc:
-            print(f"error: --config: {exc}", file=sys.stderr)
-            return EXIT_IO
-        except ValueError as exc:
-            print(f"error: --config: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    parser = _build_parser(file_defaults)
+    try:
+        parser = _build_parser(json.loads(Path(known.config).read_text())
+                               if known.config else None)
+    except OSError as exc:
+        print(f"error: --config: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except ValueError as exc:
+        print(f"error: --config: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -68,6 +68,7 @@ __all__ = [
 
 QUAD_GUARD = 1e-12
 PAIR_RESIDUAL_RTOL = 1e-8
+BAUER_FIKE_SLACK = 1e-8
 
 
 class SpdViolation(RuntimeError):
@@ -81,14 +82,15 @@ class LayerConfig:
     ``zeta`` is the target quadratic form of the rescaled pre-threshold
     vector; ``stabilize`` switches that rescaling off entirely (for
     instability studies). ``tape_mode`` picks the gradient bookkeeping
-    described in the module docstring.
+    described in the module docstring. Every layer of a pass that is not
+    a replay ends with a dense refresh of the inverse and
+    :meth:`SpdState.validate` on the refreshed pair.
     """
 
     zeta: float = 1.0
     num_layers: int = 1
     stabilize: bool = True
     tape_mode: str = "detached"
-    validate: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.zeta < np.inf:
@@ -369,9 +371,10 @@ def rank2_delta_eigs(col_diff: np.ndarray, diag_diff: float) -> tuple[float, flo
     return 0.5 * (d + root), 0.5 * (d - root)
 
 
-def bauer_fike_check(theta_before, theta_after, delta_op_norm: float,
-                     slack: float = 1e-8) -> tuple[bool, float]:
-    """Check |lambda_k(before) - lambda_k(after)| <= delta_op_norm for all k.
+def bauer_fike_check(theta_before, theta_after,
+                     delta_op_norm: float) -> tuple[bool, float]:
+    """Check |lambda_k(before) - lambda_k(after)| <= delta_op_norm for all k,
+    up to ``BAUER_FIKE_SLACK``.
 
     Returns (within bound, max excess over the bound); the excess is
     negative when the bound holds with room to spare.
@@ -379,7 +382,7 @@ def bauer_fike_check(theta_before, theta_after, delta_op_norm: float,
     wb = np.linalg.eigvalsh(linalg.as_sym_array(theta_before))
     wa = np.linalg.eigvalsh(linalg.as_sym_array(theta_after))
     excess = float((np.abs(wb - wa) - delta_op_norm).max())
-    return excess <= slack, excess
+    return excess <= BAUER_FIKE_SLACK, excess
 
 
 # -- the layer -------------------------------------------------------------
@@ -470,8 +473,7 @@ def spodnet_forward(s, fns: UpdateFns, cfg: LayerConfig, *, hook=None,
                 w = (spd_inverse_op(state.theta) if cfg.tape_mode == "full"
                      else Tensor(linalg.spd_inverse(state.theta.data)))
                 state = SpdState(state.theta, w)
-                if cfg.validate:
-                    state.validate()
+                state.validate()
         except linalg.NotPositiveDefinite as exc:
             raise SpdViolation(f"layer {k}: state matrix is not PD at the "
                                f"boundary refresh: {exc}") from exc

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from . import core
+from . import core, datagen
 from .autodiff import Tensor
 
 __all__ = [
@@ -54,6 +54,8 @@ G_FLOOR = 1e-8
 CHECKPOINT_TAG = "SPODNET-CKPT-1"
 
 _NET_ORDER = ("gamma", "lambda", "psi", "phi", "g")
+# the lambda net's output is scaled by this before it thresholds
+_LAMBDA_SCALE = {"ubg": 1.0, "pnp": 0.1, "e2e": 0.1}
 
 
 @dataclass(frozen=True)
@@ -116,7 +118,6 @@ class ModelParams:
     p: int
     seed: int
     nets: dict[str, Mlp]
-    lambda_scale: float
 
     def named_tensors(self) -> list[tuple[str, Tensor]]:
         out = []
@@ -154,11 +155,10 @@ def init_params(variant: str, p: int, seed: int) -> ModelParams:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     if p < 2:
         raise ValueError("p must be >= 2")
-    rng = np.random.Generator(np.random.Philox(key=seed & ((1 << 64) - 1)))
+    rng = datagen.make_rng(seed)
     specs = _net_specs(variant, p)
     nets = {name: Mlp(specs[name], rng) for name in _NET_ORDER if name in specs}
-    return ModelParams(variant=variant, p=p, seed=seed, nets=nets,
-                       lambda_scale=1.0 if variant == "ubg" else 0.1)
+    return ModelParams(variant=variant, p=p, seed=seed, nets=nets)
 
 
 # -- the update maps -------------------------------------------------------
@@ -177,9 +177,10 @@ def _maybe_stabilize(z: Tensor, ctx: core.ColumnContext) -> Tensor:
 
 
 def _scaled_lambda(lam: Tensor, params: ModelParams) -> Tensor:
-    if params.lambda_scale == 1.0:
+    scale = _LAMBDA_SCALE[params.variant]
+    if scale == 1.0:
         return lam
-    return ad.scale(lam, params.lambda_scale)
+    return ad.scale(lam, scale)
 
 
 def f_ubg(ctx: core.ColumnContext, params: ModelParams) -> Tensor:
@@ -260,11 +261,12 @@ def save_checkpoint(path, params: ModelParams, cfg: core.LayerConfig) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _header(doc: dict, key: str, kind: type, *default):
+def _header(doc: dict, key: str, kind, *default):
     value = doc.get(key, *default) if default else doc[key]
     # bool subclasses int, so it passes only where a bool is asked for
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ValueError(f"checkpoint field {key!r} must be a JSON {kind.__name__}, "
+    if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+        name = "number" if kind == (int, float) else kind.__name__
+        raise ValueError(f"checkpoint field {key!r} must be a JSON {name}, "
                          f"got {value!r}")
     return value
 
@@ -296,7 +298,7 @@ def load_checkpoint(path) -> tuple[ModelParams, core.LayerConfig]:
         if remaining:
             raise ValueError(f"checkpoint is missing parameters: {sorted(remaining)}")
         cfg = core.LayerConfig(
-            zeta=float(doc["zeta"]),
+            zeta=float(_header(doc, "zeta", (int, float))),
             num_layers=_header(doc, "num_layers", int),
             stabilize=_header(doc, "stabilize", bool, True),
         )

@@ -8,7 +8,7 @@ order before each optimizer step.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,16 +35,20 @@ __all__ = [
 ]
 
 ZERO_TOL = 1e-8
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Adam step size, minibatch size, epoch count and the seed of the epoch
+    shuffles. Adam's moment decays and denominator guard are the constants
+    ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``."""
+
     lr: float = 1e-2
     batch_size: int = 10
     epochs: int = 10
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -80,9 +84,9 @@ def mse_loss(pred: Tensor, truth) -> Tensor:
 
 @dataclass
 class AdamState:
-    t: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+    t: int
+    m: list[np.ndarray]
+    v: list[np.ndarray]
 
     @classmethod
     def for_params(cls, params) -> "AdamState":
@@ -92,19 +96,17 @@ class AdamState:
 
 
 def adam_step(params, grads, state: AdamState, cfg: TrainConfig) -> None:
-    """One bias-corrected Adam update in place; None gradients count as zero."""
-    if not state.m:
-        state.m = [np.zeros_like(p.data) for p in params]
-        state.v = [np.zeros_like(p.data) for p in params]
+    """One bias-corrected Adam update in place; None gradients count as zero.
+    ``state`` comes from :meth:`AdamState.for_params` on the same params."""
     state.t += 1
-    c1 = 1.0 - cfg.beta1 ** state.t
-    c2 = 1.0 - cfg.beta2 ** state.t
+    c1 = 1.0 - ADAM_BETA1 ** state.t
+    c2 = 1.0 - ADAM_BETA2 ** state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if g is None:
             g = np.zeros_like(p.data)
-        m[...] = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v[...] = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-        p.data -= cfg.lr * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+        m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+        p.data -= cfg.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def nmse(preds, truths) -> float:
@@ -126,15 +128,15 @@ def nmse(preds, truths) -> float:
     return total / len(preds)
 
 
-def f1_support(pred, truth, zero_tol: float = ZERO_TOL) -> float:
-    """F1 of off-diagonal support recovery; empty-vs-empty scores 1."""
+def f1_support(pred, truth) -> float:
+    """F1 of off-diagonal support (|entry| > ZERO_TOL); empty-vs-empty scores 1."""
     prd = np.asarray(getattr(pred, "data", pred), dtype=np.float64)
     trd = np.asarray(getattr(truth, "data", truth), dtype=np.float64)
     if prd.shape != trd.shape:
         raise ValueError(f"shape mismatch {prd.shape} vs {trd.shape}")
     off = ~np.eye(prd.shape[0], dtype=bool)
-    ps = np.abs(prd) > zero_tol
-    ts = np.abs(trd) > zero_tol
+    ps = np.abs(prd) > ZERO_TOL
+    ts = np.abs(trd) > ZERO_TOL
     tp = int((ps & ts & off).sum())
     fp = int((ps & ~ts & off).sum())
     fn = int((~ps & ts & off).sum())
@@ -143,11 +145,11 @@ def f1_support(pred, truth, zero_tol: float = ZERO_TOL) -> float:
     return 2.0 * tp / (2.0 * tp + fp + fn)
 
 
-def offdiag_density(mat, zero_tol: float = ZERO_TOL) -> float:
-    """Fraction of off-diagonal entries larger than ``zero_tol`` in magnitude."""
+def offdiag_density(mat) -> float:
+    """Fraction of off-diagonal entries larger than ``ZERO_TOL`` in magnitude."""
     m = np.asarray(getattr(mat, "data", mat), dtype=np.float64)
     off = ~np.eye(m.shape[0], dtype=bool)
-    return float((np.abs(m) > zero_tol)[off].mean())
+    return float((np.abs(m) > ZERO_TOL)[off].mean())
 
 
 def score_estimates(entries, estimates) -> dict:

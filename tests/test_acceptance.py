@@ -117,8 +117,7 @@ class TestCriterion2:
                 resid = np.abs(ev.theta_after @ ev.w_after - eye).max()
                 ratios.append(resid / max(vals[-1] / vals[0], 1.0))
 
-            models.forward(entry.s, params, LayerConfig(validate=False),
-                           hook=hook)
+            models.forward(entry.s, params, LayerConfig(), hook=hook)
             passes += 1
             assert len(ratios) == 50
             worst = max(worst, max(ratios))
@@ -312,7 +311,7 @@ class TestCriterion6:
         blowups = 0
         for seed in p30_healthy_seeds:
             params = models.init_params("ubg", self.P, seed=seed)
-            lcfg = LayerConfig(stabilize=False, validate=False)
+            lcfg = LayerConfig(stabilize=False)
 
             def hook(ev):
                 if np.linalg.eigvalsh(ev.theta_after)[0] < 1e-6:

@@ -243,3 +243,10 @@ def test_default_lambda_grid_spans_two_decades():
     off = s.copy()
     np.fill_diagonal(off, 0.0)
     assert grid[-1] == pytest.approx(np.abs(off).max())
+
+
+@pytest.mark.parametrize("size", [0, -1])
+def test_default_lambda_grid_needs_a_value(size):
+    _, _, x = _entry(6, 50, 0.8, seed=13)
+    with pytest.raises(ValueError, match="grid size"):
+        default_lambda_grid(x, size)

@@ -226,6 +226,8 @@ class TestCheckpointHeader:
         ("num_layers", True),
         ("seed", 2.7),
         ("p", "6"),
+        ("zeta", "2"),
+        ("zeta", True),
     ])
     def test_mistyped_field_exits_2(self, tmp_path, small_data, trained,
                                     field, value, capsys):
@@ -361,6 +363,24 @@ class TestDiagnose:
         assert code == 2
 
 
+@pytest.mark.parametrize("flags,rule", [
+    (["train", "--epochs", "-1"], "epochs"),
+    (["train", "--batch-size", "0"], "batch_size"),
+    (["baseline", "--method", "glasso-cv", "--folds", "1"], "folds"),
+    (["baseline", "--method", "glasso-cv", "--grid-size", "0"], "grid size"),
+    (["baseline", "--method", "glasso-cv", "--grid-size", "-1"], "grid size"),
+], ids=["epochs", "batch-size", "folds", "grid-size-0", "grid-size-neg"])
+def test_out_of_range_flag_exits_2(tmp_path, small_data, flags, rule, capsys):
+    # each rule is owned by the config object or function the flag feeds
+    train, test = small_data
+    data = (["--train", str(train), "--test", str(test)] if flags[0] == "train"
+            else ["--data", str(test)])
+    out = tmp_path / "out"
+    assert main(flags + data + ["--out", str(out)]) == 2
+    assert rule in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestConfigFile:
     def test_file_supplies_defaults_and_flags_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -374,6 +394,26 @@ class TestConfigFile:
                      "--out", str(tmp_path / "override")]) == 0
         ds2 = datagen.load_dataset(tmp_path / "override")
         assert ds2.config.seed == 4
+
+    def test_unknown_key_exits_2(self, tmp_path, capsys):
+        # "sed" names no option; "lr" names one of train, which gen-data
+        # ignores, so one file can serve several subcommands
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p": 4, "n": 5, "num": 1, "alpha": 0.5,
+                                   "sed": 3, "lr": 0.1, "out": str(tmp_path / "ds")}))
+        assert main(["--config", str(cfg), "gen-data"]) == 2
+        assert "'sed'" in capsys.readouterr().err
+        assert not (tmp_path / "ds").exists()
+        doc = json.loads(cfg.read_text())
+        del doc["sed"]
+        cfg.write_text(json.dumps(doc))
+        assert main(["--config", str(cfg), "gen-data"]) == 0
+
+    def test_non_object_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([{"p": 4}]))
+        assert main(["--config", str(cfg), "gen-data"]) == 2
+        assert "JSON object" in capsys.readouterr().err
 
     def test_missing_config_exits_3(self):
         assert main(["--config", "/nonexistent/cfg.json", "gen-data"]) == 3

@@ -82,7 +82,22 @@ class TestArchitectures:
         if variant == "e2e":
             assert [w.data.shape for w in params.nets["phi"].weights] == \
                 [(10 * p, k), (k, 10 * p)]
-        assert params.lambda_scale == (1.0 if variant == "ubg" else 0.1)
+
+    @pytest.mark.parametrize("variant,scale", [("ubg", 1.0), ("pnp", 0.1),
+                                               ("e2e", 0.1)])
+    def test_threshold_is_scaled_lambda_output(self, variant, scale):
+        # gamma off, so ubg thresholds theta12 itself; psi/phi emit theta12
+        theta12 = np.array([1.0, -0.5, 0.2, 0.04])
+        params = init_params(variant, 5, seed=0)
+        _zero_net(params.nets["gamma"])
+        _force_constant(params.nets["lambda"], 0.5)
+        for name in ("psi", "phi"):
+            if name in params.nets:
+                _force_constant(params.nets[name], theta12)
+        ctx = _ctx(5, theta12, np.zeros(4), np.zeros(4))  # stabilizer off
+        out = getattr(models, f"f_{variant}")(ctx, params).data
+        expected = np.sign(theta12) * np.maximum(np.abs(theta12) - 0.5 * scale, 0.0)
+        np.testing.assert_allclose(out, expected, rtol=0.0, atol=1e-15)
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
