@@ -7,15 +7,22 @@ models compose, namely ``add``, ``sub``, ``mul``, ``scale``,
 identities) are single ops built with ``apply_op``: a numpy forward plus a
 hand-written adjoint.
 
-All data is float64 and the only broadcasting allowed is
-scalar-with-tensor. A Tape is a per-forward-pass object, discarded after
-the backward sweep; leaf gradients accumulate additively until cleared
-with ``zero_grad``. Open tapes live on one module-level stack, so a
-process runs one forward/backward at a time.
+All data is float64. Every op is written over leading axes, so a stack of
+independent samples with a leading batch axis runs through the same op,
+as one tape node, as a single sample does: a per-sample vector has shape
+``(..., k)``, a per-sample matrix ``(..., k, k)`` and a per-sample scalar
+``(...)`` or ``(..., 1)``. The only broadcasting the elementwise ops allow
+is a tensor of size one against any tensor, and a per-sample scalar
+``(..., 1)`` against a per-sample vector ``(..., k)``; an adjoint sums over
+the axes its operand was broadcast along. A Tape is a per-forward-pass
+object, discarded after the backward sweep; leaf gradients accumulate
+additively until cleared with ``zero_grad``. Open tapes live on one
+module-level stack, so a process runs one forward/backward at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -50,6 +57,8 @@ class DomainError(ValueError):
 
 
 _TAPES: list = []
+# serials of recorded op outputs, unique in the process
+_KEYS = itertools.count(1)
 
 
 def active_tape():
@@ -57,15 +66,23 @@ def active_tape():
     return _TAPES[-1] if _TAPES else None
 
 
+def recording() -> bool:
+    """Whether a tape is open. An op whose adjoint needs a derived array
+    (rather than a large input) computes it only then."""
+    return bool(_TAPES)
+
+
 class Tensor:
     """Dense float64 array with an optional gradient buffer."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "key")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
+        # serial of the taped op that produced this tensor, if any
+        self.key: int | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -90,10 +107,10 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("out", "inputs", "vjp")
+    __slots__ = ("key", "inputs", "vjp")
 
-    def __init__(self, out: Tensor, inputs: tuple, vjp: Callable):
-        self.out = out
+    def __init__(self, key: int, inputs: tuple, vjp: Callable):
+        self.key = key
         self.inputs = inputs
         self.vjp = vjp
 
@@ -102,7 +119,11 @@ class Tape:
     """Execution-ordered record of differentiable operations.
 
     Insertion order is a topological order of the computation, so the
-    backward sweep is a single reverse pass over ``nodes``.
+    backward sweep is a single reverse pass over ``nodes``. A node keeps
+    the key of its output and, per input, the key of an input produced on
+    this tape, the tensor of any other input that needs a gradient (a
+    leaf), or None. So the tape itself holds no intermediate array: each
+    lives only as long as the forward or an adjoint closure needs it.
     """
 
     def __init__(self):
@@ -120,8 +141,12 @@ class Tape:
         return False
 
     def record(self, out: Tensor, inputs: tuple, vjp: Callable) -> None:
-        self.nodes.append(_Node(out, inputs, vjp))
-        self._produced.add(id(out))
+        refs = tuple(None if not t.requires_grad
+                     else t.key if t.key in self._produced else t
+                     for t in inputs)
+        out.key = next(_KEYS)
+        self._produced.add(out.key)
+        self.nodes.append(_Node(out.key, refs, vjp))
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(leaf) into every reachable leaf's ``grad``.
@@ -132,17 +157,17 @@ class Tape:
         """
         if loss.data.size != 1:
             raise ShapeError("backward requires a scalar loss")
-        flows: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+        flows: dict[int | None, np.ndarray] = {loss.key: np.ones_like(loss.data)}
         for node in reversed(self.nodes):
-            g = flows.pop(id(node.out), None)
+            g = flows.pop(node.key, None)
             if g is None:
                 continue
             for inp, gi in zip(node.inputs, node.vjp(g)):
-                if gi is None or not inp.requires_grad:
+                if gi is None or inp is None:
                     continue
-                if id(inp) in self._produced:
-                    acc = flows.get(id(inp))
-                    flows[id(inp)] = gi if acc is None else acc + gi
+                if isinstance(inp, int):
+                    acc = flows.get(inp)
+                    flows[inp] = gi if acc is None else acc + gi
                 elif inp.grad is None:
                     inp.grad = np.array(gi, dtype=np.float64)
                 else:
@@ -193,26 +218,40 @@ def zero_grad(params: Sequence[Tensor]) -> None:
 
 
 def _check_pair(a: Tensor, b: Tensor, opname: str) -> None:
-    if a.data.shape == b.data.shape or a.data.size == 1 or b.data.size == 1:
+    sa, sb = a.data.shape, b.data.shape
+    if sa == sb or a.data.size == 1 or b.data.size == 1:
         return
+    if len(sa) == len(sb) and sa[:-1] == sb[:-1] and 1 in (sa[-1], sb[-1]):
+        return  # a per-sample scalar against a per-sample vector
     raise ShapeError(
-        f"{opname}: shapes {a.data.shape} and {b.data.shape} "
-        "(only scalar-with-tensor mixing is supported)"
+        f"{opname}: shapes {sa} and {sb} (only scalar-with-tensor and "
+        "per-sample-scalar-with-vector mixing is supported)"
     )
 
 
 def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum ``g`` over the axes along which an operand of ``shape`` was
+    broadcast."""
     if g.shape == shape:
         return g
-    return np.asarray(g.sum()).reshape(shape)
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(
+        lead + k for k, n in enumerate(shape) if n == 1 and g.shape[lead + k] != 1)
+    return g.sum(axis=axes).reshape(shape)
+
+
+# The elementwise adjoints compute and keep only what an operand that needs
+# a gradient uses, so a constant operand costs the tape nothing.
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_pair(a, b, "add")
     ashape, bshape = a.data.shape, b.data.shape
+    na, nb = a.requires_grad, b.requires_grad
 
     def vjp(g):
-        return (_reduce_to(g, ashape), _reduce_to(g, bshape))
+        return (_reduce_to(g, ashape) if na else None,
+                _reduce_to(g, bshape) if nb else None)
 
     return apply_op(a.data + b.data, (a, b), vjp)
 
@@ -220,21 +259,27 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_pair(a, b, "sub")
     ashape, bshape = a.data.shape, b.data.shape
+    na, nb = a.requires_grad, b.requires_grad
 
     def vjp(g):
-        return (_reduce_to(g, ashape), _reduce_to(-g, bshape))
+        return (_reduce_to(g, ashape) if na else None,
+                _reduce_to(-g, bshape) if nb else None)
 
     return apply_op(a.data - b.data, (a, b), vjp)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_pair(a, b, "mul")
-    ad, bd = a.data, b.data
+    ashape, bshape = a.data.shape, b.data.shape
+    # each operand's adjoint reads the other operand
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
 
     def vjp(g):
-        return (_reduce_to(g * bd, ad.shape), _reduce_to(g * ad, bd.shape))
+        return (None if bd is None else _reduce_to(g * bd, ashape),
+                None if ad is None else _reduce_to(g * ad, bshape))
 
-    return apply_op(ad * bd, (a, b), vjp)
+    return apply_op(a.data * b.data, (a, b), vjp)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -247,23 +292,33 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def quadratic_form(z: Tensor, m: Tensor) -> Tensor:
-    """Scalar z' M z with adjoints for both the vector and the matrix."""
+    """Per-sample scalar z' M z of vectors ``(..., k)`` and matrices
+    ``(..., k, k)``, shape ``(...)``, with adjoints for both operands."""
     zd, md = z.data, m.data
-    if zd.ndim != 1 or md.ndim != 2 or md.shape != (zd.shape[0], zd.shape[0]):
+    if zd.ndim < 1 or md.shape != zd.shape + zd.shape[-1:]:
         raise ShapeError(f"quadratic_form: vector {zd.shape} against matrix {md.shape}")
 
-    def vjp(g):
-        s = float(g)
-        return (s * ((md + md.T) @ zd), s * np.outer(zd, zd))
+    # (z' M) z, the association the unbatched 1-D form z @ M @ z rounds in
+    zm = np.vecmat(zd, md)
+    # the adjoint needs (M + M') z, not M, so a tape does not keep M alive
+    sym_z = zm + np.matvec(md, zd) if recording() else None
+    need_m = m.requires_grad
 
-    return apply_op(np.asarray(zd @ md @ zd), (z, m), vjp)
+    def vjp(g):
+        g = g[..., None]
+        dm = g[..., None] * (zd[..., :, None] * zd[..., None, :]) if need_m else None
+        return (g * sym_z, dm)
+
+    return apply_op(np.vecdot(zm, zd), (z, m), vjp)
 
 
 def soft_threshold(x: Tensor, gamma) -> Tensor:
     """sign(x) * max(|x| - gamma, 0), producing exact zeros in the dead zone.
 
-    ``gamma`` must be elementwise non-negative, same shape as ``x`` or a
-    scalar. Subgradient convention at |x| == gamma: zero for both operands.
+    ``gamma`` must be elementwise non-negative, same shape as ``x``, a
+    scalar, or a per-sample scalar ``(..., 1)`` against ``x`` of shape
+    ``(..., k)``. Subgradient convention at |x| == gamma: zero for both
+    operands.
     """
     gamma = _wrap(gamma)
     _check_pair(x, gamma, "soft_threshold")
@@ -272,29 +327,30 @@ def soft_threshold(x: Tensor, gamma) -> Tensor:
         raise DomainError("soft_threshold requires gamma >= 0")
     mask = np.abs(xd) > gd
     sgn = np.sign(xd)
+    xshape, gshape = xd.shape, gd.shape
 
     def vjp(g):
         live = g * mask
-        return (_reduce_to(live, xd.shape), _reduce_to(-sgn * live, gd.shape))
+        return (_reduce_to(live, xshape), _reduce_to(-sgn * live, gshape))
 
     return apply_op(sgn * np.maximum(np.abs(xd) - gd, 0.0), (x, gamma), vjp)
 
 
 def concat_scalars(parts: Sequence[Tensor]) -> Tensor:
-    """Pack scalar tensors into a vector, routing adjoints entrywise."""
+    """Stack n per-sample scalars of one shape ``(...)`` on a new last axis,
+    shape ``(..., n)``, routing adjoints entrywise."""
     parts = tuple(parts)
-    shapes = []
-    vals = []
-    for t in parts:
-        if t.data.size != 1:
-            raise ShapeError("concat_scalars expects scalar tensors")
-        shapes.append(t.data.shape)
-        vals.append(float(t.data.reshape(())))
+    shape = parts[0].data.shape
+    if any(t.data.shape != shape for t in parts):
+        raise ShapeError("concat_scalars expects tensors of one shape, got "
+                         f"{[t.data.shape for t in parts]}")
+
+    n = len(parts)
 
     def vjp(g):
-        return tuple(np.asarray(g[j]).reshape(shapes[j]) for j in range(len(parts)))
+        return tuple(g[..., j] for j in range(n))
 
-    return apply_op(np.array(vals), parts, vjp)
+    return apply_op(np.stack([t.data for t in parts], axis=-1), parts, vjp)
 
 
 def finite_diff_check(loss_fn: Callable[[], Tensor], params: Sequence[Tensor],

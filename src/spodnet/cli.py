@@ -303,16 +303,20 @@ def _build_parser(file_defaults: dict | None = None) -> argparse.ArgumentParser:
 
     if file_defaults is not None:
         # a key may name an option of any subcommand, so one file can serve
-        # several; a key that names none is a typo
+        # several; a key that names none is a typo. An option is named by
+        # its long flag or its destination (``lambda`` or ``lam``).
         if not isinstance(file_defaults, dict):
             raise ValueError("expected a JSON object of option values")
         values = {k.replace("-", "_"): v for k, v in file_defaults.items()}
-        dests = [{a.dest for a in p._actions} - {"help"} for p in built]
+        dests = [{name.replace("-", "_"): a.dest for a in p._actions if a.dest != "help"
+                  for name in (a.dest, *(o[2:] for o in a.option_strings
+                                         if o.startswith("--")))}
+                 for p in built]
         unknown = sorted(set(values).difference(*dests))
         if unknown:
             raise ValueError(f"no subcommand has an option named {unknown}")
         for p, names in zip(built, dests):
-            p.set_defaults(**{k: v for k, v in values.items() if k in names})
+            p.set_defaults(**{names[k]: v for k, v in values.items() if k in names})
 
     return parser
 

@@ -16,6 +16,13 @@ updated inverse) is computed by one numpy function, ``*_np``, which the
 glasso baseline also calls; the tape op of the same name without the
 suffix runs that function and carries its hand-written adjoint.
 
+Every function here takes matrices of shape ``(..., p, p)``: a stack of
+independent samples with a leading batch axis runs through the same code,
+one tape node per op, as one ``(p, p)`` matrix does. Per-sample vectors are
+``(..., p - 1)`` and per-sample scalars ``(...)``. The pivot loop is
+sequential; the samples are not. A check that fails names the first
+failing sample of a batch in :attr:`SpdViolation.sample`.
+
 Gradient bookkeeping offers two modes. In ``detached`` mode the inverse is
 maintained as plain numbers: quantities derived from it enter each update
 as constants and gradients do not flow through the inverse-maintenance
@@ -72,7 +79,56 @@ BAUER_FIKE_SLACK = 1e-8
 
 
 class SpdViolation(RuntimeError):
-    """The running state lost positive-definiteness; an upstream contract broke."""
+    """The running state lost positive-definiteness; an upstream contract broke.
+
+    ``sample`` is the flat batch position of the first sample that failed,
+    or None when the input had no batch axis.
+    """
+
+    def __init__(self, message: str, sample: int | None = None):
+        super().__init__(message)
+        self.sample = sample
+
+
+def _require(ok, describe: Callable[[int], str]) -> None:
+    """Raise :class:`SpdViolation` for the first sample whose ``ok`` entry is
+    False; ``describe(j)`` words the failure at flat batch position ``j``."""
+    # bool() on the scalar an unbatched check gives is far cheaper than .all()
+    if bool(ok) if ok.ndim == 0 else ok.all():
+        return
+    j = int(np.argmin(ok.reshape(-1)))
+    raise SpdViolation(describe(j), sample=j if ok.ndim else None)
+
+
+def _check_margin(v) -> None:
+    # ndarray.min, not np.all: the pivot loop calls this per column
+    if not np.asarray(v).min() > 0.0:
+        raise ValueError("margin v must be strictly positive")
+
+
+def _matrices(a: np.ndarray) -> list[tuple[int | None, np.ndarray]]:
+    """(flat batch position, matrix) for each matrix of a ``(..., p, p)``
+    array; the position is None when there is no batch axis."""
+    if a.ndim <= 2:
+        return [(None, a)]
+    return list(enumerate(a.reshape(-1, *a.shape[-2:])))
+
+
+def _spd_inverse(a: np.ndarray) -> np.ndarray:
+    """:func:`linalg.spd_inverse` of each matrix of a ``(..., p, p)`` array.
+    A :class:`linalg.NotPositiveDefinite` carries the failing sample's flat
+    batch position as ``sample``."""
+    if a.ndim <= 2:
+        return linalg.spd_inverse(a)
+    out = np.empty(a.shape)
+    flat = out.reshape(-1, *a.shape[-2:])
+    for j, m in _matrices(a):
+        try:
+            flat[j] = linalg.spd_inverse(m)
+        except linalg.NotPositiveDefinite as exc:
+            exc.sample = j
+            raise
+    return out
 
 
 @dataclass
@@ -103,33 +159,37 @@ class LayerConfig:
 
 @dataclass
 class SpdState:
-    """Matrix/inverse pair threaded through the layers."""
+    """Matrix/inverse pair threaded through the layers, each ``(..., p, p)``."""
 
     theta: Tensor
     w: Tensor
 
     @property
     def p(self) -> int:
-        return self.theta.data.shape[0]
+        return self.theta.data.shape[-1]
 
     def validate(self) -> None:
-        """Strict Cholesky on a detached copy plus inverse-pair residual."""
-        td, wd = self.theta.data, self.w.data
-        try:
-            linalg.cholesky(td)
-        except linalg.NotPositiveDefinite as exc:
-            raise SpdViolation(f"state matrix is not PD: {exc}") from exc
-        resid = float(np.abs(td @ wd - np.eye(self.p)).max())
-        cond_inf = float(np.abs(td).sum(axis=1).max() * np.abs(wd).sum(axis=1).max())
-        if not np.isfinite(resid) or resid > PAIR_RESIDUAL_RTOL * max(cond_inf, 1.0):
-            raise SpdViolation(
-                f"inverse pair drifted: residual {resid:.3e} vs cond {cond_inf:.3e}"
-            )
+        """Strict Cholesky on a detached copy plus inverse-pair residual,
+        matrix by matrix."""
+        eye = np.eye(self.p)
+        for (j, td), (_, wd) in zip(_matrices(self.theta.data), _matrices(self.w.data)):
+            try:
+                linalg.cholesky(td)
+            except linalg.NotPositiveDefinite as exc:
+                raise SpdViolation(f"state matrix is not PD: {exc}", sample=j) from exc
+            resid = float(np.abs(td @ wd - eye).max())
+            cond_inf = float(np.abs(td).sum(axis=1).max() * np.abs(wd).sum(axis=1).max())
+            if not np.isfinite(resid) or resid > PAIR_RESIDUAL_RTOL * max(cond_inf, 1.0):
+                raise SpdViolation(
+                    f"inverse pair drifted: residual {resid:.3e} vs cond {cond_inf:.3e}",
+                    sample=j)
 
 
 @dataclass
 class ColumnContext:
-    """Everything a column update sees at pivot ``i``."""
+    """Everything a column update sees at pivot ``i``: per-sample vectors
+    ``(..., p - 1)``, per-sample scalars ``(...)`` and ``theta11_inv`` of
+    shape ``(..., p - 1, p - 1)``."""
 
     i: int
     theta12: Tensor
@@ -147,8 +207,9 @@ class UpdateFns:
     """Learned (or test-supplied) column and margin maps.
 
     ``f(ctx)`` returns the new off-diagonal column. ``g(ctx, u, schur_quad)``
-    returns the strictly positive Schur margin of the updated pivot, where
-    ``schur_quad`` is u' inv(Theta_11) u for the column just produced.
+    returns the strictly positive Schur margin of the updated pivot, shape
+    ``(...)`` or ``(..., 1)``, where ``schur_quad`` is u' inv(Theta_11) u for
+    the column just produced.
     """
 
     f: Callable[[ColumnContext], Tensor]
@@ -159,7 +220,9 @@ class UpdateFns:
 class UpdateEvent:
     """What a hook sees after updating pivot ``i``: the layer's own arrays,
     by reference (each update allocates fresh ones; do not write to them),
-    the update's inverse-derived inputs and its Schur margin ``v``."""
+    the update's inverse-derived inputs and its Schur margin ``v``. Every
+    array keeps the forward's batch axis; ``v`` has the batch shape (0-d
+    for one matrix)."""
 
     layer: int
     i: int
@@ -168,59 +231,91 @@ class UpdateEvent:
     w_after: np.ndarray
     theta11_inv: np.ndarray
     w12: np.ndarray
-    v: float
+    v: np.ndarray
 
     @property
     def col_diff(self) -> np.ndarray:
-        rest = linalg.rest_indices(self.theta_after.shape[0], self.i)
-        return self.theta_after[rest, self.i] - self.theta_before[rest, self.i]
+        rest = linalg.rest_indices(self.theta_after.shape[-1], self.i)
+        return self.theta_after[..., rest, self.i] - self.theta_before[..., rest, self.i]
 
     @property
-    def diag_diff(self) -> float:
+    def diag_diff(self):
         i = self.i
-        return float(self.theta_after[i, i] - self.theta_before[i, i])
+        return self.theta_after[..., i, i] - self.theta_before[..., i, i]
 
 
 @lru_cache(maxsize=None)
-def _rest_grid(p: int, i: int) -> tuple[np.ndarray, np.ndarray]:
+def _block_index(p: int, i: int) -> np.ndarray:
+    """Flat indices, into a p x p matrix, of its block without row and
+    column ``i``; cached, so the array is read-only."""
     rest = linalg.rest_indices(p, i)
-    grid = np.ix_(rest, rest)
-    for a in grid:
-        a.setflags(write=False)
-    return grid
+    idx = (rest[:, None] * p + rest[None, :]).ravel()
+    idx.setflags(write=False)
+    return idx
+
+
+# Gathers go through ``take``: fancy indexing on trailing axes of a stack
+# returns a transposed memory layout, which numpy's matvec/vecmat/vecdot
+# then run without BLAS, rounding differently from the unbatched call.
+
+
+def _col(a: np.ndarray, i: int, rest: np.ndarray) -> np.ndarray:
+    """Column ``i`` of ``a`` without its diagonal entry, C-contiguous."""
+    return a[..., :, i].take(rest, axis=-1)
+
+
+def _row(a: np.ndarray, i: int, rest: np.ndarray) -> np.ndarray:
+    """Row ``i`` of ``a`` without its diagonal entry, C-contiguous."""
+    return a[..., i, :].take(rest, axis=-1)
+
+
+def _block11(a: np.ndarray, i: int) -> np.ndarray:
+    """The ``(..., p - 1, p - 1)`` block of ``a`` without row and column
+    ``i``, C-contiguous."""
+    lead, p = a.shape[:-2], a.shape[-1]
+    flat = a.reshape(*lead, p * p).take(_block_index(p, i), axis=-1)
+    return flat.reshape(*lead, p - 1, p - 1)
+
+
+def _set_block11(out: np.ndarray, i: int, block: np.ndarray) -> None:
+    """Write ``block`` into the block of ``out`` without row and column
+    ``i``; ``out`` must be C-contiguous, so that its reshape is a view."""
+    lead, p = out.shape[:-2], out.shape[-1]
+    out.reshape(*lead, p * p)[..., _block_index(p, i)] = block.reshape(*lead, -1)
 
 
 # -- structural tape primitives ------------------------------------------
 
 
 def col_off(a: Tensor, i: int) -> Tensor:
-    """Off-diagonal part of column ``i`` as a length p-1 tensor."""
+    """Off-diagonal part of column ``i``, shape ``(..., p - 1)``."""
     ad_ = a.data
-    rest = linalg.rest_indices(ad_.shape[0], i)
+    shape = ad_.shape
+    rest = linalg.rest_indices(shape[-1], i)
 
     def vjp(g):
-        out = np.zeros_like(ad_)
-        out[rest, i] = g
+        out = np.zeros(shape)
+        out[..., rest, i] = g
         return (out,)
 
-    return apply_op(ad_[rest, i], (a,), vjp)
+    return apply_op(_col(ad_, i, rest), (a,), vjp)
 
 
 def diag_entry(a: Tensor, i: int) -> Tensor:
-    """Diagonal entry (i, i) as a scalar tensor."""
-    ad_ = a.data
+    """Diagonal entry (i, i), shape ``(...)``."""
+    shape = a.data.shape
 
     def vjp(g):
-        out = np.zeros_like(ad_)
-        out[i, i] = float(g)
+        out = np.zeros(shape)
+        out[..., i, i] = g
         return (out,)
 
-    return apply_op(np.asarray(ad_[i, i]), (a,), vjp)
+    return apply_op(a.data[..., i, i], (a,), vjp)
 
 
 def spd_inverse_op(a: Tensor) -> Tensor:
     """Differentiable SPD inverse (dense; used at layer boundaries only)."""
-    inv = linalg.spd_inverse(a.data)
+    inv = _spd_inverse(a.data)
 
     def vjp(g):
         return (-inv @ g @ inv,)
@@ -236,12 +331,18 @@ def spd_inverse_op(a: Tensor) -> Tensor:
 
 def theta11_inverse_np(w: np.ndarray, i: int) -> np.ndarray:
     """Reduced-block inverse W_11 - w_12 w_12' / w_22, read off ``w``, in O(p^2)."""
-    rest = linalg.rest_indices(w.shape[0], i)
-    w22 = w[i, i]
-    if not w22 > 0.0:
-        raise SpdViolation(f"inverse w22 = {float(w22)!r} at pivot {i} is not positive")
-    w12 = w[rest, i]
-    return w[_rest_grid(w.shape[0], i)] - np.outer(w12, w12) / w22
+    p = w.shape[-1]
+    rest = linalg.rest_indices(p, i)
+    w22 = w[..., i, i]
+    _require(w22 > 0.0, lambda j: f"inverse w22 = {float(w22.reshape(-1)[j])!r} "
+                                  f"at pivot {i} is not positive")
+    w12 = _col(w, i, rest)
+    # in place on fresh arrays: the same roundings with fewer (p, p) temporaries
+    rank1 = w12[..., :, None] * w12[..., None, :]
+    rank1 /= w22[..., None, None]
+    out = _block11(w, i)
+    out -= rank1
+    return out
 
 
 def theta11_inverse(w: Tensor, i: int) -> Tensor:
@@ -249,31 +350,30 @@ def theta11_inverse(w: Tensor, i: int) -> Tensor:
     read from column ``i``, so its adjoint lands there."""
     wd = w.data
     out = theta11_inverse_np(wd, i)
-    p = wd.shape[0]
-    rest = linalg.rest_indices(p, i)
+    rest = linalg.rest_indices(wd.shape[-1], i)
 
     def vjp(g):
-        w12, w22 = wd[rest, i], wd[i, i]
-        dw = np.zeros_like(wd)
-        dw[_rest_grid(p, i)] = g
-        dw[rest, i] = -((g + g.T) @ w12) / w22
-        dw[i, i] = (w12 @ g @ w12) / (w22 * w22)
+        w12, w22 = _col(wd, i, rest), wd[..., i, i]
+        dw = np.zeros(wd.shape)
+        _set_block11(dw, i, g)
+        dw[..., rest, i] = -np.matvec(g + g.mT, w12) / w22[..., None]
+        dw[..., i, i] = np.vecdot(np.vecmat(w12, g), w12) / (w22 * w22)
         return (dw,)
 
     return apply_op(out, (w,), vjp)
 
 
-def theta_plus_np(theta: np.ndarray, i: int, u: np.ndarray, v: float,
+def theta_plus_np(theta: np.ndarray, i: int, u: np.ndarray, v,
                   theta11_inv: np.ndarray) -> np.ndarray:
     """Write column/row ``i`` to ``u`` and pin the pivot diagonal so the
-    updated matrix has Schur margin exactly ``v``; SPD for any u, v > 0."""
-    if not v > 0.0:
-        raise ValueError("margin v must be strictly positive")
-    rest = linalg.rest_indices(theta.shape[0], i)
+    updated matrix has Schur margin exactly ``v`` (shape ``(...)``); SPD for
+    any u, v > 0."""
+    _check_margin(v)
+    rest = linalg.rest_indices(theta.shape[-1], i)
     out = theta.copy()
-    out[rest, i] = u
-    out[i, rest] = u
-    out[i, i] = v + u @ (theta11_inv @ u)
+    out[..., rest, i] = u
+    out[..., i, rest] = u
+    out[..., i, i] = v + np.vecdot(u, np.matvec(theta11_inv, u))
     return out
 
 
@@ -282,78 +382,97 @@ def theta_plus(theta: Tensor, u: Tensor, v: Tensor, theta11_inv: Tensor,
     """Tape op for :func:`theta_plus_np`; ``u`` fills both the row and the
     column, so its adjoint collects both sides plus the pivot's quadratic."""
     ud, md = u.data, theta11_inv.data
-    out = theta_plus_np(theta.data, i, ud, v.item(), md)
-    p = out.shape[0]
-    rest = linalg.rest_indices(p, i)
-    grid = _rest_grid(p, i)
     vshape = v.data.shape
+    out = theta_plus_np(theta.data, i, ud, v.data.reshape(theta.data.shape[:-2]), md)
+    rest = linalg.rest_indices(out.shape[-1], i)
+    # the adjoint needs (M + M') u, not M, so a tape does not keep M alive
+    sym_u = np.matvec(md, ud) + np.vecmat(ud, md) if ad.recording() else None
+    need_m = theta11_inv.requires_grad
 
     def vjp(g):
-        gii = g[i, i]
-        dtheta = np.zeros_like(g)
-        dtheta[grid] = g[grid]
-        du = g[rest, i] + g[i, rest] + gii * ((md + md.T) @ ud)
-        return (dtheta, du, np.full(vshape, gii), gii * np.outer(ud, ud))
+        gii = g[..., i, i]
+        dtheta = g.copy()
+        dtheta[..., i, :] = 0.0
+        dtheta[..., :, i] = 0.0
+        du = _col(g, i, rest) + _row(g, i, rest) + gii[..., None] * sym_u
+        dm = gii[..., None, None] * (ud[..., :, None] * ud[..., None, :]) if need_m else None
+        return (dtheta, du, gii.reshape(vshape), dm)
 
     return apply_op(out, (theta, u, v, theta11_inv), vjp)
 
 
-def w_plus_np(theta11_inv: np.ndarray, u: np.ndarray, v: float, i: int) -> np.ndarray:
+def w_plus_np(theta11_inv: np.ndarray, u: np.ndarray, v, i: int) -> np.ndarray:
     """Inverse of the updated matrix from the same blocks, in O(p^2)."""
-    if not v > 0.0:
-        raise ValueError("margin v must be strictly positive")
-    p = theta11_inv.shape[0] + 1
+    _check_margin(v)
+    v = np.asarray(v)
+    p = theta11_inv.shape[-1] + 1
     rest = linalg.rest_indices(p, i)
-    mu = theta11_inv @ u
-    out = np.empty((p, p), dtype=np.float64)
-    out[_rest_grid(p, i)] = theta11_inv + np.outer(mu, mu) / v
-    out[rest, i] = -mu / v
-    out[i, rest] = -mu / v
-    out[i, i] = 1.0 / v
+    mu = np.matvec(theta11_inv, u)
+    col = -mu / v[..., None]
+    block = mu[..., :, None] * mu[..., None, :]
+    block /= v[..., None, None]
+    block += theta11_inv
+    out = np.empty(theta11_inv.shape[:-2] + (p, p))
+    _set_block11(out, i, block)
+    out[..., rest, i] = col
+    out[..., i, rest] = col
+    out[..., i, i] = 1.0 / v
     return out
 
 
 def w_plus(theta11_inv: Tensor, u: Tensor, v: Tensor, i: int) -> Tensor:
     """Tape op for :func:`w_plus_np`."""
-    md, ud, vval = theta11_inv.data, u.data, v.item()
-    out = w_plus_np(md, ud, vval, i)
-    p = out.shape[0]
-    rest = linalg.rest_indices(p, i)
+    md, ud = theta11_inv.data, u.data
     vshape = v.data.shape
+    vval = v.data.reshape(md.shape[:-2])
+    out = w_plus_np(md, ud, vval, i)
+    p = out.shape[-1]
+    rest = linalg.rest_indices(p, i)
 
     def vjp(g):
-        mu = md @ ud
-        g11 = g[_rest_grid(p, i)]
-        gcol = g[rest, i] + g[i, rest]
-        dmu = ((g11 + g11.T) @ mu - gcol) / vval
-        dv = (gcol @ mu - mu @ g11 @ mu - g[i, i]) / (vval * vval)
-        return (g11 + np.outer(dmu, ud), md.T @ dmu, np.full(vshape, dv))
+        mu = np.matvec(md, ud)
+        g11 = _block11(g, i)
+        gcol = _col(g, i, rest) + _row(g, i, rest)
+        dmu = (np.matvec(g11 + g11.mT, mu) - gcol) / vval[..., None]
+        dv = ((np.vecdot(gcol, mu) - np.vecdot(np.vecmat(mu, g11), mu) - g[..., i, i])
+              / (vval * vval))
+        return (g11 + dmu[..., :, None] * ud[..., None, :], np.vecmat(dmu, md),
+                dv.reshape(vshape))
 
     return apply_op(out, (theta11_inv, u, v), vjp)
 
 
 def stabilize_preactivation(z: Tensor, theta11_inv: Tensor, zeta: float) -> Tensor:
-    """Rescale ``z`` so z' inv(Theta_11) z equals ``zeta``.
+    """Rescale each sample's ``z`` so z' inv(Theta_11) z equals ``zeta``.
 
-    Degenerate inputs (quadratic form <= 1e-12) pass through unchanged so
-    the zero vector never divides by zero. One tape op: the output is
-    ``s * z`` with ``s = sqrt(zeta) / sqrt(q)`` and ``q = z' M z``, and the
-    adjoint sends ``g * s`` plus the chain through ``q`` to ``z``.
+    Degenerate samples (quadratic form <= 1e-12) pass through unchanged so
+    the zero vector never divides by zero; when every sample is degenerate
+    ``z`` itself is returned. One tape op: the output is ``s * z`` with
+    ``s = sqrt(zeta) / sqrt(q)`` and ``q = z' M z``, and the adjoint sends
+    ``g * s`` plus the chain through ``q`` to ``z``.
     """
     if not zeta > 0.0:
         raise ValueError("zeta must be > 0")
     zd, md = z.data, theta11_inv.data
-    q = zd @ md @ zd
-    if q <= QUAD_GUARD:
+    # (z' M) z, the association the unbatched 1-D form z @ M @ z rounds in
+    zm = np.vecmat(zd, md)
+    q = np.vecdot(zm, zd)
+    live = q > QUAD_GUARD
+    if not live.any():
         return z
     c = float(np.sqrt(zeta))
-    t = np.sqrt(q)
+    t = np.sqrt(np.where(live, q, 1.0))
     r = 1.0 / t
-    s = r * c
+    s = np.where(live, r * c, 1.0)[..., None]
+    # the adjoint needs (M + M') z, not M, so a tape does not keep M alive
+    sym_z = zm + np.matvec(md, zd) if ad.recording() else None
+    need_m = theta11_inv.requires_grad
 
     def vjp(g):
-        dq = float(-((g * zd).sum() * c) * r * r * (0.5 / t))
-        return (g * s + dq * ((md + md.T) @ zd), dq * np.outer(zd, zd))
+        dq = np.where(live, -((g * zd).sum(axis=-1) * c) * r * r * (0.5 / t), 0.0)
+        dq = dq[..., None]
+        dm = dq[..., None] * (zd[..., :, None] * zd[..., None, :]) if need_m else None
+        return (g * s + dq * sym_z, dm)
 
     return apply_op(s * zd, (z, theta11_inv), vjp)
 
@@ -399,6 +518,7 @@ def spodnet_layer(state: SpdState, fns: UpdateFns, cfg: LayerConfig,
     """
     sd = np.asarray(s, dtype=np.float64)
     p = state.p
+    batch = state.theta.data.shape[:-2]
     # replayed passes keep the inverse as plain numbers regardless of mode
     use_tape_w = cfg.tape_mode == "full" and w_replay is None
     theta = state.theta
@@ -414,13 +534,13 @@ def spodnet_layer(state: SpdState, fns: UpdateFns, cfg: LayerConfig,
             t11inv = theta11_inverse(w, i)
             w12 = col_off(w, i)
 
-        theta_before = theta.data
+        theta_before = theta.data if hook is not None else None
         ctx = ColumnContext(
             i=i,
             theta12=col_off(theta, i),
             theta22=diag_entry(theta, i),
-            s12=Tensor(sd[rest, i]),
-            s22=Tensor(np.asarray(sd[i, i])),
+            s12=Tensor(_col(sd, i, rest)),
+            s22=Tensor(sd[..., i, i]),
             w12=w12,
             theta11_inv=t11inv,
             zeta=cfg.zeta,
@@ -428,9 +548,10 @@ def spodnet_layer(state: SpdState, fns: UpdateFns, cfg: LayerConfig,
         )
         u = fns.f(ctx)
         v = fns.g(ctx, u, ad.quadratic_form(u, t11inv))
-        vval = v.item()
-        if not np.isfinite(vval) or vval <= 0.0:
-            raise SpdViolation(f"margin v = {vval!r} at pivot {i} is not positive")
+        vval = v.data.reshape(batch)
+        _require(np.isfinite(vval) & (vval > 0.0),
+                 lambda j: f"margin v = {float(vval.reshape(-1)[j])!r} at pivot {i} "
+                           "is not positive")
         theta = theta_plus(theta, u, v, t11inv, i)
         w = (w_plus(t11inv, u, v, i) if use_tape_w
              else Tensor(w_plus_np(t11inv.data, u.data, vval, i)))
@@ -443,26 +564,31 @@ def spodnet_layer(state: SpdState, fns: UpdateFns, cfg: LayerConfig,
 
 
 def initial_state(s: np.ndarray) -> SpdState:
-    """theta = inv(s + I), w = s + I: an exact inverse pair to start from."""
-    sd = linalg.as_sym_array(s)
-    shifted = sd + np.eye(sd.shape[0])
-    theta0 = linalg.spd_inverse(shifted)
-    return SpdState(theta=Tensor(theta0), w=Tensor(0.5 * (shifted + shifted.T)))
+    """theta = inv(s + I), w = s + I: an exact inverse pair to start from,
+    for each symmetric matrix of ``s`` (``(..., p, p)``)."""
+    sd = np.asarray(getattr(s, "data", s), dtype=np.float64)
+    for _, m in _matrices(sd):
+        linalg.as_sym_array(m)
+    shifted = sd + np.eye(sd.shape[-1])
+    theta0 = _spd_inverse(shifted)
+    return SpdState(theta=Tensor(theta0), w=Tensor(0.5 * (shifted + shifted.mT)))
 
 
 def spodnet_forward(s, fns: UpdateFns, cfg: LayerConfig, *, hook=None,
                     w_replay: list | None = None) -> SpdState:
     """Initialize from the shifted covariance and run ``num_layers`` cycles.
 
-    After every layer the inverse is refreshed by a dense factorization,
-    which bounds drift of the maintained pair without changing the per-layer
-    complexity class. A recording for ``w_replay`` is the (theta11_inv, w12)
-    pair of every event: ``hook=lambda ev: rec.append((ev.theta11_inv,
-    ev.w12))``. An :class:`SpdViolation` names the layer it arose in.
+    ``s`` is one covariance ``(p, p)`` or a batch ``(..., p, p)``, which runs
+    as one pass. After every layer the inverse is refreshed by a dense
+    factorization, which bounds drift of the maintained pair without
+    changing the per-layer complexity class. A recording for ``w_replay``
+    is the (theta11_inv, w12) pair of every event: ``hook=lambda ev:
+    rec.append((ev.theta11_inv, ev.w12))``. An :class:`SpdViolation` names
+    the layer it arose in and, in ``sample``, the batch position.
     """
-    sd = linalg.as_sym_array(s)
-    p = sd.shape[0]
+    sd = np.asarray(getattr(s, "data", s), dtype=np.float64)
     state = initial_state(sd)
+    p = state.p
     for k in range(cfg.num_layers):
         replay = None if w_replay is None else w_replay[k * p:(k + 1) * p]
         try:
@@ -471,12 +597,12 @@ def spodnet_forward(s, fns: UpdateFns, cfg: LayerConfig, *, hook=None,
             if w_replay is None:
                 # resynchronize the maintained inverse at every layer boundary
                 w = (spd_inverse_op(state.theta) if cfg.tape_mode == "full"
-                     else Tensor(linalg.spd_inverse(state.theta.data)))
+                     else Tensor(_spd_inverse(state.theta.data)))
                 state = SpdState(state.theta, w)
                 state.validate()
         except linalg.NotPositiveDefinite as exc:
             raise SpdViolation(f"layer {k}: state matrix is not PD at the "
-                               f"boundary refresh: {exc}") from exc
+                               f"boundary refresh: {exc}", sample=exc.sample) from exc
         except SpdViolation as exc:
-            raise SpdViolation(f"layer {k}: {exc}") from exc
+            raise SpdViolation(f"layer {k}: {exc}", sample=exc.sample) from exc
     return state

@@ -16,6 +16,7 @@ is promised within this implementation, not across languages.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -179,7 +180,12 @@ def load_dataset(path) -> Dataset:
     mat_bytes = p * p * 8
     entries = []
     for j in range(cfg.num):
-        blob = (root / f"entry-{j:05d}.bin").read_bytes()
+        # os.path, not pathlib: a Path interns each file name, and the
+        # churn of interned names made a process that loads datasets
+        # repeatedly rebuild its intern table now and then, a 1-2 MB
+        # allocation on top of its peak
+        with open(os.path.join(root, f"entry-{j:05d}.bin"), "rb") as fh:
+            blob = fh.read()
         expected = 2 * mat_bytes + (n * p * 8 if cfg.keep_samples else 0)
         if len(blob) != expected:
             raise ValueError(f"entry {j} has {len(blob)} bytes, expected {expected}")

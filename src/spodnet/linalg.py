@@ -28,11 +28,16 @@ _SYM_RTOL = 1e-12
 
 
 class NotPositiveDefinite(Exception):
-    """Cholesky met a non-positive pivot: the matrix is not numerically PD."""
+    """Cholesky met a non-positive pivot: the matrix is not numerically PD.
+
+    ``sample`` is None here; a caller that factors each matrix of a batch
+    sets it to the failing matrix's batch position.
+    """
 
     def __init__(self, pivot: int):
         super().__init__(f"matrix is not positive definite (failing pivot {pivot})")
         self.pivot = pivot
+        self.sample: int | None = None
 
 
 def as_sym_array(a) -> np.ndarray:

@@ -67,9 +67,12 @@ class MlpSpec:
 class Mlp:
     """Fully connected ReLU network, applied as one tape op per call.
 
-    The numpy forward keeps every layer's input and pre-activation; the
-    hand-written adjoint runs back through the ``abs`` head's sign and the
-    ReLU masks, both of which pass 0 at their kink.
+    Inputs are ``(..., fan_in)``: each sample of a leading batch axis runs
+    through the same weights, and the adjoint sums the weight and bias
+    gradients over the batch. The numpy forward keeps every layer's input
+    and the output pre-activation; the hand-written adjoint runs back
+    through the ``abs`` head's sign and the ReLU masks, both of which pass
+    0 at their kink.
     """
 
     def __init__(self, spec: MlpSpec, rng: np.random.Generator):
@@ -85,24 +88,28 @@ class Mlp:
     def __call__(self, x: Tensor) -> Tensor:
         ws = [w.data for w in self.weights]
         abs_head = self.spec.out_activation == "abs"
-        inputs, pre = [x.data], []
+        inputs, pre = [x.data], None
         for w, b in zip(ws, self.biases):
-            if pre:
-                inputs.append(np.maximum(pre[-1], 0.0))
-            pre.append(w @ inputs[-1] + b.data)
+            if pre is not None:
+                inputs.append(np.maximum(pre, 0.0))
+            pre = np.matvec(w, inputs[-1]) + b.data
 
         def vjp(g):
             if abs_head:
-                g = g * np.sign(pre[-1])
+                g = g * np.sign(pre)
             dparams = []
             for k in range(len(ws) - 1, -1, -1):
-                dparams[:0] = (np.outer(g, inputs[k]), g)
-                g = ws[k].T @ g
+                # rows are samples; one product sums the batch's outer products
+                g2 = g.reshape(-1, g.shape[-1])
+                dparams[:0] = (g2.T @ inputs[k].reshape(-1, inputs[k].shape[-1]),
+                               g2.sum(axis=0))
+                g = np.vecmat(g, ws[k])
                 if k:
-                    g = g * (pre[k - 1] > 0.0)
+                    # a hidden input is positive exactly where its ReLU passes
+                    g = g * (inputs[k] > 0.0)
             return (g, *dparams)
 
-        out = np.abs(pre[-1]) if abs_head else pre[-1]
+        out = np.abs(pre) if abs_head else pre
         return ad.apply_op(out, (x, *self.tensors()), vjp)
 
     def tensors(self) -> list[Tensor]:
@@ -229,7 +236,8 @@ def make_update_fns(params: ModelParams) -> core.UpdateFns:
 
 
 def forward(s, params: ModelParams, cfg: core.LayerConfig, **kwargs) -> core.SpdState:
-    """Full model pass: shifted-covariance start plus K update cycles."""
+    """Full model pass: shifted-covariance start plus K update cycles, for
+    one covariance ``(p, p)`` or a batch ``(..., p, p)``."""
     return core.spodnet_forward(s, make_update_fns(params), cfg, **kwargs)
 
 

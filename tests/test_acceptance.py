@@ -218,12 +218,14 @@ class TestCriterion5:
         checked = [0]
 
         def hook(ev):
-            hi, lo = core.rank2_delta_eigs(ev.col_diff, ev.diag_diff)
-            ok, excess = core.bauer_fike_check(ev.theta_before, ev.theta_after,
-                                               max(abs(hi), abs(lo)))
-            checked[0] += 1
-            if not ok:
-                violations.append(excess)
+            # training events carry the minibatch axis: audit each sample
+            for b in np.ndindex(ev.theta_after.shape[:-2]):
+                hi, lo = core.rank2_delta_eigs(ev.col_diff[b], ev.diag_diff[b])
+                ok, excess = core.bauer_fike_check(ev.theta_before[b], ev.theta_after[b],
+                                                   max(abs(hi), abs(lo)))
+                checked[0] += 1
+                if not ok:
+                    violations.append(excess)
 
         params = models.init_params("ubg", 20, seed=5)
         cfg = training.TrainConfig(lr=1e-2, batch_size=10, epochs=3, seed=0)
@@ -314,7 +316,8 @@ class TestCriterion6:
             lcfg = LayerConfig(stabilize=False)
 
             def hook(ev):
-                if np.linalg.eigvalsh(ev.theta_after)[0] < 1e-6:
+                # smallest eigenvalue over the minibatch the event carries
+                if np.linalg.eigvalsh(ev.theta_after)[..., 0].min() < 1e-6:
                     raise _BlowUp
 
             tcfg = training.TrainConfig(lr=1e-2, batch_size=10, epochs=10,

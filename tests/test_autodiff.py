@@ -213,3 +213,86 @@ def test_tensor_shape_and_item():
         t.item()
     assert Tensor(3.5).item() == 3.5
 
+
+
+class TestBatchAxis:
+    """A leading batch axis runs through every primitive as one tape node;
+    per-sample scalars (B, 1) broadcast against per-sample vectors (B, k),
+    and each adjoint passes central differences."""
+
+    TOL = 1e-7
+
+    def _check(self, build, params, seed):
+        # a random cotangent weights every output entry
+        out_shape = build(*params).data.shape
+        cot = Tensor(np.random.default_rng(seed).standard_normal(out_shape))
+        err = ad.finite_diff_check(lambda: ad.mul(build(*params), cot).sum(), params)
+        assert err <= self.TOL
+
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul])
+    def test_per_sample_scalar_against_vector(self, op):
+        rng = np.random.default_rng(30)
+        s = ad.parameter(rng.standard_normal((3, 1)))
+        v = ad.parameter(rng.standard_normal((3, 4)))
+        out = op(s, v).data
+        for b in range(3):
+            assert np.array_equal(out[b], op(Tensor(s.data[b]), Tensor(v.data[b])).data)
+        self._check(op, [s, v], 31)
+        self._check(lambda a, b: op(b, a), [s, v], 32)
+
+    def test_scalar_against_batch(self):
+        rng = np.random.default_rng(33)
+        c = ad.parameter(rng.standard_normal(1))
+        v = ad.parameter(rng.standard_normal((3, 4)))
+        self._check(ad.mul, [c, v], 34)
+
+    def test_mismatched_batches_rejected(self):
+        with pytest.raises(ShapeError):
+            ad.mul(ad.constant(np.ones((2, 1))), ad.constant(np.ones((3, 4))))
+        with pytest.raises(ShapeError):
+            ad.add(ad.constant(np.ones((3, 2))), ad.constant(np.ones((3, 4))))
+
+    def test_quadratic_form(self):
+        rng = np.random.default_rng(35)
+        z = ad.parameter(rng.standard_normal((3, 4)))
+        m = ad.parameter(rng.standard_normal((3, 4, 4)))
+        q = ad.quadratic_form(z, m)
+        assert q.data.shape == (3,)
+        for b in range(3):
+            single = ad.quadratic_form(Tensor(z.data[b]), Tensor(m.data[b])).item()
+            assert abs(q.data[b] - single) <= 1e-12 * abs(single)
+        self._check(ad.quadratic_form, [z, m], 36)
+
+    def test_soft_threshold(self):
+        rng = np.random.default_rng(37)
+        x = ad.parameter(rng.standard_normal((3, 4)) * 3.0 + 4.0)
+        for gshape in ((3, 4), (3, 1)):
+            g = ad.parameter(np.abs(rng.standard_normal(gshape)))
+            self._check(ad.soft_threshold, [x, g], 38)
+
+    def test_concat_scalars_stacks_on_last_axis(self):
+        rng = np.random.default_rng(39)
+        parts = [ad.parameter(rng.standard_normal(3)) for _ in range(3)]
+        out = ad.concat_scalars(parts)
+        assert np.array_equal(out.data, np.stack([t.data for t in parts], axis=-1))
+        self._check(lambda *ps: ad.concat_scalars(ps), parts, 40)
+        with pytest.raises(ShapeError):
+            ad.concat_scalars((ad.constant(np.ones(3)), ad.constant(1.0)))
+
+    def test_scale_and_sum(self):
+        rng = np.random.default_rng(41)
+        x = ad.parameter(rng.standard_normal((3, 4)))
+        self._check(lambda a: ad.scale(a, 1.7), [x], 42)
+        assert ad.finite_diff_check(lambda: ad.mul(x, x).sum(), [x]) <= self.TOL
+
+    @pytest.mark.parametrize("head", ["identity", "abs"])
+    def test_mlp_sums_parameter_gradients_over_the_batch(self, head):
+        rng = np.random.default_rng(43)
+        net = _mlp((4, 5, 3, 2), 43, head)
+        for b in net.biases:  # keep every pre-activation off the kinks
+            b.data[...] = rng.standard_normal(b.data.shape)
+        x = ad.parameter(rng.standard_normal((3, 4)))
+        out = net(x).data
+        for b in range(3):
+            assert np.array_equal(out[b], net(Tensor(x.data[b])).data)
+        self._check(lambda a, *_: net(a), [x, *net.tensors()], 44)

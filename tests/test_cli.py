@@ -1,6 +1,7 @@
 """End-to-end command line behavior, including exit codes and determinism."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -257,6 +258,11 @@ class TestSpdViolation:
                          "--out", str(tmp_path / out)])
             assert code == 4, cmd
             assert "sample 1: layer 0:" in capsys.readouterr().err
+        # the failing minibatch names the dataset index of its first failure
+        assert main(["train", "--model", "e2e", "--train", data, "--test", data,
+                     "--seed", "0", "--epochs", "1",
+                     "--out", str(tmp_path / "run1")]) == 4
+        assert re.search(r"epoch 0, sample \d+: layer 0:", capsys.readouterr().err)
 
 
 class TestBaseline:
@@ -408,6 +414,25 @@ class TestConfigFile:
         del doc["sed"]
         cfg.write_text(json.dumps(doc))
         assert main(["--config", str(cfg), "gen-data"]) == 0
+
+    @pytest.mark.parametrize("key,flag,value", [
+        ("lambda", "--lambda", 0.2), ("lam", "--lambda", 0.2),
+        ("max-sweeps", "--max-sweeps", 3), ("max_sweeps", "--max-sweeps", 3),
+    ])
+    def test_key_names_flag_or_destination(self, tmp_path, small_data, key, flag, value):
+        _, test = small_data
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        from_file, from_flag = tmp_path / "file.json", tmp_path / "flag.json"
+        assert main(["--config", str(cfg), "baseline", "--method", "glasso",
+                     "--data", str(test), "--out", str(from_file)]) == 0
+        assert main(["baseline", "--method", "glasso", flag, str(value),
+                     "--data", str(test), "--out", str(from_flag)]) == 0
+        assert from_file.read_text() == from_flag.read_text()
+        default = tmp_path / "default.json"
+        assert main(["baseline", "--method", "glasso", "--data", str(test),
+                     "--out", str(default)]) == 0
+        assert from_file.read_text() != default.read_text()
 
     def test_non_object_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -142,18 +142,31 @@ class TestAssembleWPlus:
             assert np.abs(tp @ wp - np.eye(10)).max() <= 1e-10
 
 
+def _per_sample_close(batched, single_fn, batch, rtol=1e-12):
+    """Each sample of a batched result against the unbatched function."""
+    for b in np.ndindex(*batch):
+        single = single_fn(b)
+        assert np.abs(batched[b] - single).max() <= rtol * np.abs(single).max()
+
+
 class TestBlockOpAdjoints:
     """Each tape op equals its numpy function and passes central differences
     on every input; a random cotangent weights every output entry, so a
     wrong adjoint for any entry shows."""
 
     TOL = 1e-7
+    BATCH: tuple = ()
 
-    def _setup(self, seed, p=6):
+    def _setup(self, seed, batch, p=6):
         rng = np.random.default_rng(seed)
-        theta = _random_spd(rng, p)
+        theta = np.zeros(batch + (p, p))
+        for b in np.ndindex(*batch):
+            theta[b] = _random_spd(rng, p)
+        w = np.zeros_like(theta)
+        for b in np.ndindex(*batch):
+            w[b] = linalg.spd_inverse(theta[b])
         i = int(rng.integers(p))
-        return rng, theta, linalg.spd_inverse(theta), i
+        return rng, theta, w, i
 
     def _check(self, op, inputs, weights):
         err = ad.finite_diff_check(
@@ -161,29 +174,74 @@ class TestBlockOpAdjoints:
         assert err <= self.TOL
 
     def test_theta11_inverse(self):
-        rng, _, w, i = self._setup(41)
+        batch = self.BATCH
+        rng, _, w, i = self._setup(41, batch)
         wt = ad.parameter(w)
         op = partial(theta11_inverse, i=i)
-        assert np.array_equal(op(wt).data, theta11_inverse_np(w, i))
-        self._check(op, [wt], rng.standard_normal((5, 5)))
+        out = op(wt).data
+        assert np.array_equal(out, theta11_inverse_np(w, i))
+        _per_sample_close(out, lambda b: theta11_inverse_np(w[b], i), batch)
+        self._check(op, [wt], rng.standard_normal(batch + (5, 5)))
 
     def test_theta_plus(self):
-        rng, theta, w, i = self._setup(42)
-        inputs = [ad.parameter(theta), ad.parameter(rng.standard_normal(5)),
-                  ad.parameter(0.7), ad.parameter(theta11_inverse_np(w, i))]
+        batch = self.BATCH
+        rng, theta, w, i = self._setup(42, batch)
+        m = theta11_inverse_np(w, i)
+        inputs = [ad.parameter(theta), ad.parameter(rng.standard_normal(batch + (5,))),
+                  ad.parameter(np.full(batch + (1,), 0.7)), ad.parameter(m)]
         op = partial(theta_plus, i=i)
-        assert np.array_equal(op(*inputs).data, theta_plus_np(
-            theta, i, inputs[1].data, 0.7, inputs[3].data))
-        self._check(op, inputs, rng.standard_normal((6, 6)))
+        out = op(*inputs).data
+        u = inputs[1].data
+        assert np.array_equal(out, theta_plus_np(theta, i, u, np.full(batch, 0.7), m))
+        _per_sample_close(out, lambda b: theta_plus_np(theta[b], i, u[b], 0.7, m[b]), batch)
+        self._check(op, inputs, rng.standard_normal(batch + (6, 6)))
 
     def test_w_plus(self):
-        rng, _, w, i = self._setup(43)
-        inputs = [ad.parameter(theta11_inverse_np(w, i)),
-                  ad.parameter(rng.standard_normal(5)), ad.parameter([0.7])]
+        batch = self.BATCH
+        rng, _, w, i = self._setup(43, batch)
+        m = theta11_inverse_np(w, i)
+        inputs = [ad.parameter(m), ad.parameter(rng.standard_normal(batch + (5,))),
+                  ad.parameter(np.full(batch + (1,), 0.7))]
         op = partial(w_plus, i=i)
-        assert np.array_equal(op(*inputs).data, core.w_plus_np(
-            inputs[0].data, inputs[1].data, 0.7, i))
-        self._check(op, inputs, rng.standard_normal((6, 6)))
+        out = op(*inputs).data
+        u = inputs[1].data
+        assert np.array_equal(out, core.w_plus_np(m, u, np.full(batch, 0.7), i))
+        _per_sample_close(out, lambda b: core.w_plus_np(m[b], u[b], 0.7, i), batch)
+        self._check(op, inputs, rng.standard_normal(batch + (6, 6)))
+
+    def test_structural_ops(self):
+        batch = self.BATCH
+        rng, theta, _, i = self._setup(44, batch)
+        t = ad.parameter(theta)
+        assert core.col_off(t, i).data.shape == batch + (5,)
+        assert core.diag_entry(t, i).data.shape == batch
+        self._check(partial(core.col_off, i=i), [t], rng.standard_normal(batch + (5,)))
+        self._check(partial(core.diag_entry, i=i), [t], rng.standard_normal(batch))
+        inv = core.spd_inverse_op(t).data
+        _per_sample_close(inv, lambda b: linalg.spd_inverse(theta[b]), batch)
+        # a symmetric direction, since the inverse takes symmetric input only
+        c = ad.parameter(0.3)
+        direction = Tensor(self._setup(46, batch)[1])
+        self._check(lambda c: core.spd_inverse_op(ad.add(Tensor(theta), ad.mul(c, direction))),
+                    [c], rng.standard_normal(batch + (6, 6)))
+
+    def test_stabilizer(self):
+        batch = self.BATCH
+        rng, theta, _, _ = self._setup(45, batch, p=5)
+        z = ad.parameter(rng.standard_normal(batch + (5,)))
+        m = ad.parameter(theta)
+        op = partial(stabilize_preactivation, zeta=2.5)
+        out = op(z, m).data
+        _per_sample_close(out, lambda b: stabilize_preactivation(
+            Tensor(z.data[b]), Tensor(theta[b]), 2.5).data, batch)
+        self._check(op, [z, m], rng.standard_normal(batch + (5,)))
+
+
+class TestBlockOpAdjointsBatched(TestBlockOpAdjoints):
+    """The same ops on a stack of three samples with a leading batch axis;
+    each sample also matches its unbatched result."""
+
+    BATCH = (3,)
 
 
 class TestStabilizer:
@@ -191,6 +249,13 @@ class TestStabilizer:
         z = Tensor(np.zeros(3))
         out = stabilize_preactivation(z, Tensor(np.eye(3)), 1.0)
         assert out is z
+
+    def test_zero_sample_passes_through_in_a_batch(self):
+        z = Tensor(np.array([[0.0, 0.0], [3.0, 4.0]]))
+        m = Tensor(np.stack([np.eye(2), np.eye(2)]))
+        out = stabilize_preactivation(z, m, 1.0).data
+        assert np.array_equal(out[0], [0.0, 0.0])
+        assert np.allclose(out[1], [0.6, 0.8], atol=1e-14)
 
     def test_hand_scaling(self):
         out = stabilize_preactivation(Tensor([3.0, 4.0]), Tensor(np.eye(2)), 1.0)
@@ -314,6 +379,44 @@ class TestForward:
             with pytest.raises(SpdViolation, match="layer 0"):
                 core.spodnet_forward(s, UpdateFns(f=f, g=g),
                                      LayerConfig(tape_mode=mode))
+
+    def test_margin_check_names_the_sample(self):
+        s = np.zeros((3, 4, 4))
+
+        def g(ctx, u, q):
+            return Tensor(np.array([[1.0], [-1.0], [-2.0]]))
+
+        with pytest.raises(SpdViolation, match="layer 0: margin v = -1.0 at pivot 0") as exc:
+            core.spodnet_forward(s, UpdateFns(f=_constant_fns(0.0, 1.0).f, g=g),
+                                 LayerConfig())
+        assert exc.value.sample == 1
+
+    @pytest.mark.parametrize("mode", ["detached", "full"])
+    def test_boundary_refresh_names_the_sample(self, mode):
+        rng = np.random.default_rng(16)
+        s = np.stack([_random_spd(rng, 6) for _ in range(3)])
+
+        def f(ctx):
+            return Tensor(np.full(ctx.theta12.data.shape, 0.5))
+
+        def g(ctx, u, q):
+            collapsed = (np.arange(3) == 2) & (ctx.i == 5)
+            return Tensor(np.where(collapsed, 1e-17, 1.0))
+
+        with pytest.raises(SpdViolation, match="layer 0: state matrix is not PD") as exc:
+            core.spodnet_forward(s, UpdateFns(f=f, g=g), LayerConfig(tape_mode=mode))
+        assert exc.value.sample == 2
+
+    def test_validate_names_the_sample(self):
+        theta = np.stack([np.eye(3)] * 3)
+        w = theta.copy()
+        w[2, 0, 1] = w[2, 1, 0] = 0.5
+        with pytest.raises(SpdViolation, match="drifted") as exc:
+            SpdState(Tensor(theta), Tensor(w)).validate()
+        assert exc.value.sample == 2
+        with pytest.raises(SpdViolation) as exc:
+            SpdState(Tensor(np.eye(3)), Tensor(np.eye(3) * 2.0)).validate()
+        assert exc.value.sample is None
 
     def test_validate_rejects_non_finite_state(self):
         nan_theta = np.eye(3)

@@ -384,3 +384,52 @@ class TestCheckpoint:
             path.write_text(json.dumps(doc))
             with pytest.raises(ValueError):
                 load_checkpoint(path)
+
+
+class TestBatchEquivalence:
+    """A batched forward and its tape agree with one forward per sample:
+    Theta, W and every parameter gradient within 1e-12 relative."""
+
+    RTOL = 1e-12
+
+    @staticmethod
+    def _entries(p=8, seed=17):
+        rng = datagen.make_rng(seed)
+        out = []
+        for _ in range(3):
+            theta_true = datagen.make_sparse_spd(p, 0.9, 0.1, rng)
+            s, _ = datagen.sample_covariance(theta_true, 50, rng)
+            out.append((s, theta_true))
+        return out
+
+    def _close(self, got, want):
+        assert np.abs(got - want).max() <= self.RTOL * np.abs(want).max()
+
+    # healthy inits: the margin net starts off its floor on these samples
+    @pytest.mark.parametrize("variant,seed", [("ubg", 2), ("pnp", 3), ("e2e", 2)])
+    @pytest.mark.parametrize("mode", ["detached", "full"])
+    def test_batched_matches_per_sample(self, variant, seed, mode):
+        from spodnet.training import mse_loss
+        entries = self._entries()
+        params = init_params(variant, 8, seed)
+        tensors = params.tensors()
+        cfg = LayerConfig(tape_mode=mode)
+
+        def run(s, truth):
+            ad.zero_grad(tensors)
+            with ad.Tape():
+                out = models.forward(s, params, cfg)
+                ad.backward(mse_loss(out.theta, truth))
+            return out, [np.zeros_like(t.data) if t.grad is None else t.grad
+                         for t in tensors]
+
+        batched, grads = run(np.stack([s for s, _ in entries]),
+                             np.stack([t for _, t in entries]))
+        summed = [np.zeros_like(t.data) for t in tensors]
+        for b, (s, truth) in enumerate(entries):
+            single, g1 = run(s, truth)
+            self._close(batched.theta.data[b], single.theta.data)
+            self._close(batched.w.data[b], single.w.data)
+            summed = [a + g for a, g in zip(summed, g1)]
+        for got, want in zip(grads, summed):
+            assert np.abs(got - want).max() <= self.RTOL * max(np.abs(want).max(), 1e-300)

@@ -196,7 +196,59 @@ class TestTrain:
         assert h1 == h2
 
 
+def _repro():
+    """Untrained e2e at p=8 whose boundary refresh fails on some entries,
+    the first of them entry 1."""
+    ds = datagen.build_dataset(datagen.GenConfig(p=8, n=40, num=40, alpha=0.9, seed=0))
+    return ds.entries, models.init_params("e2e", 8, seed=0)
+
+
+class TestMinibatch:
+    def test_minibatch_of_ten_records_as_many_nodes_as_one(self, monkeypatch):
+        ds = _dataset(num=11)
+        nodes = []
+        backward = ad.Tape.backward
+
+        def counting(tape, loss):
+            nodes.append(len(tape.nodes))
+            return backward(tape, loss)
+
+        monkeypatch.setattr(ad.Tape, "backward", counting)
+        for batch_size, entries in ((1, ds.entries[:1]), (10, ds.entries[1:])):
+            train(models.init_params("ubg", 10, seed=0), entries, ds.entries[:1],
+                  TrainConfig(batch_size=batch_size, epochs=1), LayerConfig())
+        assert len(nodes) == 2 and nodes[0] == nodes[1]
+
+    def test_violation_names_the_dataset_sample(self):
+        entries, params = _repro()
+        with pytest.raises(core.SpdViolation, match=r"^epoch 0, sample \d+: layer 0: ") as exc:
+            train(params, entries, entries[:1], TrainConfig(epochs=1), LayerConfig())
+        # the named entry fails on its own, too
+        with pytest.raises(core.SpdViolation):
+            models.forward(entries[exc.value.sample].s, params, LayerConfig())
+
+
 class TestEvaluate:
+    def test_chunks_match_one_forward_per_sample(self, monkeypatch):
+        ds = _dataset(num=5)
+        params = models.init_params("ubg", 10, seed=0)
+        monkeypatch.setattr(training, "EVAL_CHUNK", 2)
+        report = evaluate(params, ds.entries, LayerConfig())
+        singles = [models.forward(e.s, params, LayerConfig()).theta.data
+                   for e in ds.entries]
+        expected = training.score_estimates(ds.entries, singles)
+        for got, want in zip(report["samples"], expected["samples"]):
+            for key in ("nmse", "min_eig", "cond"):
+                assert abs(got[key] - want[key]) <= 1e-12 * abs(want[key])
+            assert got["f1"] == want["f1"] and got["density"] == want["density"]
+
+    @pytest.mark.parametrize("chunk", [1, 32])
+    def test_violation_names_the_sample_in_any_chunk(self, monkeypatch, chunk):
+        entries, params = _repro()
+        monkeypatch.setattr(training, "EVAL_CHUNK", chunk)
+        with pytest.raises(core.SpdViolation, match="^sample 1: layer 0: "):
+            evaluate(params, entries, LayerConfig())
+
     def test_schema_and_spd_flags(self):
         ds = _dataset(num=3)
         params = models.init_params("ubg", 10, seed=0)
