@@ -74,9 +74,9 @@ def empirical_covariance(samples) -> np.ndarray:
 
 def glasso_objective(theta, s, lam: float) -> float:
     """-logdet(theta) + <s, theta> + lam * off-diagonal l1 norm."""
-    td = linalg.as_sym_array(theta)
     sd = linalg.as_sym_array(s)
-    L = linalg.cholesky(td)
+    L = linalg.cholesky(theta)  # checks theta's symmetry as well
+    td = np.asarray(theta, dtype=np.float64)
     logdet = 2.0 * float(np.log(np.diag(L)).sum())
     trace_term = float((sd * td).sum())
     off_l1 = float(np.abs(td).sum() - np.abs(np.diag(td)).sum())
@@ -170,8 +170,8 @@ def glasso_kkt_residual(theta, s, lam: float) -> float:
     S_ij - W_ij + lam*sign(theta_ij) = 0, and the diagonal S_ii = W_ii,
     where W is the exact inverse of theta.
     """
-    td = linalg.as_sym_array(theta)
-    w = linalg.spd_inverse(td)
+    w = linalg.spd_inverse(theta)  # checks theta's symmetry as well
+    td = np.asarray(theta, dtype=np.float64)
     g = linalg.as_sym_array(s) - w
     off = ~np.eye(td.shape[0], dtype=bool)
     nz = off & (td != 0.0)
@@ -198,8 +198,8 @@ def default_lambda_grid(samples, size: int) -> list[float]:
 
 
 def _holdout_nll(theta, s_holdout) -> float:
-    td = linalg.as_sym_array(theta)
-    L = linalg.cholesky(td)
+    L = linalg.cholesky(theta)  # checks theta's symmetry as well
+    td = np.asarray(theta, dtype=np.float64)
     return -2.0 * float(np.log(np.diag(L)).sum()) + float((s_holdout * td).sum())
 
 

@@ -101,8 +101,9 @@ def _require(ok, describe: Callable[[int], str]) -> None:
 
 
 def _check_margin(v) -> None:
-    # ndarray.min, not np.all: the pivot loop calls this per column
-    if not np.asarray(v).min() > 0.0:
+    # a float compares directly, ndarray.min beats np.all: glasso's and the
+    # layer's pivot loops call this per column
+    if not (v if isinstance(v, float) else np.asarray(v).min()) > 0.0:
         raise ValueError("margin v must be strictly positive")
 
 
@@ -333,7 +334,9 @@ def theta11_inverse_np(w: np.ndarray, i: int) -> np.ndarray:
     """Reduced-block inverse W_11 - w_12 w_12' / w_22, read off ``w``, in O(p^2)."""
     p = w.shape[-1]
     rest = linalg.rest_indices(p, i)
-    w22 = w[..., i, i]
+    # [()] makes the 0-d read of an unbatched w a scalar, whose compare and
+    # divide skip numpy's array machinery (about 1 us each); same bits
+    w22 = w[..., i, i][()]
     _require(w22 > 0.0, lambda j: f"inverse w22 = {float(w22.reshape(-1)[j])!r} "
                                   f"at pivot {i} is not positive")
     w12 = _col(w, i, rest)
@@ -404,7 +407,7 @@ def theta_plus(theta: Tensor, u: Tensor, v: Tensor, theta11_inv: Tensor,
 def w_plus_np(theta11_inv: np.ndarray, u: np.ndarray, v, i: int) -> np.ndarray:
     """Inverse of the updated matrix from the same blocks, in O(p^2)."""
     _check_margin(v)
-    v = np.asarray(v)
+    v = np.asarray(v)[()]  # a scalar when unbatched, as w22 above
     p = theta11_inv.shape[-1] + 1
     rest = linalg.rest_indices(p, i)
     mu = np.matvec(theta11_inv, u)

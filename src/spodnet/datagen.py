@@ -21,7 +21,6 @@ from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import linalg
 
@@ -123,7 +122,10 @@ def sample_covariance(theta_true, n: int, rng: np.random.Generator
     t = linalg.as_sym_array(theta_true)
     L = linalg.cholesky(t)
     z = rng.standard_normal((n, t.shape[0]))
-    x = solve_triangular(L.T, z.T, lower=False).T
+    # L' is upper triangular, so gesv pivots no rows, factors it exactly
+    # and back-solves with the same dtrsm as a triangular solve: same bits,
+    # without loading scipy
+    x = np.linalg.solve(L.T, z.T).T
     s = x.T @ x / n
     return 0.5 * (s + s.T), x
 

@@ -1,6 +1,12 @@
 """Dense symmetric/SPD linear algebra used outside the differentiated path.
 
-Factorizations and eigensolves are delegated to LAPACK through numpy/scipy.
+Factorizations, eigensolves and solves are delegated to LAPACK through
+numpy. scipy serves only :func:`spd_inverse`'s two triangular solves (numpy
+has no transposed triangular solve, and a numpy-only inverse rounds
+differently), and it is imported on the first call: loading
+``scipy.linalg`` takes about 0.2 s, which a process that never inverts,
+such as ``gen-data``, should not pay.
+
 This module adds the strict positive-definiteness contract (failures carry
 the offending pivot index; non-finite input is never positive definite),
 symmetrized inverses, and the pivot index set shared by the update layer
@@ -12,7 +18,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 __all__ = [
     "NotPositiveDefinite",
@@ -105,9 +110,11 @@ def is_spd(a) -> bool:
 
 def spd_inverse(a) -> np.ndarray:
     """Inverse of an SPD matrix via Cholesky, symmetrized on output."""
-    m = as_sym_array(a)
-    L = cholesky(m)
-    eye = np.eye(m.shape[0])
+    # imported here so a process that never inverts does not load scipy.linalg
+    from scipy.linalg import solve_triangular
+
+    L = cholesky(a)
+    eye = np.eye(L.shape[0])
     half = solve_triangular(L, eye, lower=True)
     inv = solve_triangular(L.T, half, lower=False)
     return 0.5 * (inv + inv.T)

@@ -80,6 +80,22 @@ class TestSampleCovariance:
             rels.append(np.linalg.norm(s - sigma) / np.linalg.norm(sigma))
         assert float(np.mean(rels)) <= 0.1
 
+    @pytest.mark.parametrize("p", [6, 20, 50, 100])
+    def test_draws_match_a_triangular_solve_bitwise(self, p):
+        # numpy's general solve on the upper-triangular L' must round like
+        # LAPACK's triangular solve, which generated the datasets before
+        from scipy.linalg import solve_triangular
+        for seed in range(4):
+            theta = make_sparse_spd(p, 0.9, 0.1, make_rng(seed))
+            n = 3 * p + seed
+            s, x = sample_covariance(theta, n, make_rng(seed + 100))
+            L = linalg.cholesky(theta)
+            z = make_rng(seed + 100).standard_normal((n, p))
+            x_ref = solve_triangular(L.T, z.T, lower=False).T
+            s_ref = x_ref.T @ x_ref / n
+            assert x.tobytes() == x_ref.tobytes()
+            assert s.tobytes() == (0.5 * (s_ref + s_ref.T)).tobytes()
+
 
 class TestGenConfig:
     def test_validation(self):

@@ -1,5 +1,11 @@
 """Dense SPD kernels: factorization contract, inverses, pivot indices."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -124,6 +130,37 @@ class TestSpdInverse:
     def test_propagates_not_pd(self):
         with pytest.raises(NotPositiveDefinite):
             spd_inverse(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_rejects_asymmetric_input(self):
+        with pytest.raises(ValueError, match="not symmetric"):
+            spd_inverse(np.array([[2.0, 1.0], [0.5, 2.0]]))
+
+
+_SCIPY_ON_FIRST_INVERSE = """
+import json
+import sys
+import numpy as np
+from spodnet import cli, linalg
+code = cli.main(["gen-data", "--p", "6", "--n", "20", "--num", "2",
+                 "--alpha", "0.9", "--seed", "3", "--out", sys.argv[1]])
+assert code == 0
+before = "scipy.linalg" in sys.modules
+inv = linalg.spd_inverse(np.array([[4.0, 2.0], [2.0, 2.0]]))
+print(json.dumps([before, "scipy.linalg" in sys.modules, inv.tobytes().hex()]))
+"""
+
+
+def test_scipy_loads_on_the_first_inverse_only(tmp_path):
+    """gen-data runs without scipy.linalg; spd_inverse imports it on first use."""
+    src = str(Path(linalg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", _SCIPY_ON_FIRST_INVERSE,
+                          str(tmp_path / "data")],
+                         env=env, capture_output=True, text=True, check=True)
+    before, after, inv = json.loads(out.stdout.splitlines()[-1])
+    assert (before, after) == (False, True)
+    expected = spd_inverse(np.array([[4.0, 2.0], [2.0, 2.0]]))
+    assert bytes.fromhex(inv) == expected.tobytes()
 
 
 class TestEigDiagnostics:
