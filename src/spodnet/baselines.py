@@ -74,9 +74,9 @@ def empirical_covariance(samples) -> np.ndarray:
 
 def glasso_objective(theta, s, lam: float) -> float:
     """-logdet(theta) + <s, theta> + lam * off-diagonal l1 norm."""
-    sd = linalg.as_sym_array(s)
-    L = linalg.cholesky(theta)  # checks theta's symmetry as well
-    td = np.asarray(theta, dtype=np.float64)
+    sd = linalg.as_sym_matrix(s)
+    td = linalg.as_sym_matrix(theta)
+    L = linalg.cholesky(td)
     logdet = 2.0 * float(np.log(np.diag(L)).sum())
     trace_term = float((sd * td).sum())
     off_l1 = float(np.abs(td).sum() - np.abs(np.diag(td)).sum())
@@ -141,7 +141,7 @@ def glasso_solve(s, cfg: GlassoConfig, objective_trace: list | None = None
     ``cfg.tol`` or the sweep budget runs out. ``objective_trace`` collects
     the objective value at initialization and after each sweep.
     """
-    sd = linalg.as_sym_array(s)
+    sd = linalg.as_sym_matrix(s)
     p = sd.shape[0]
     if np.any(np.diag(sd) <= 0.0):
         raise ValueError("covariance diagonal must be strictly positive")
@@ -170,9 +170,9 @@ def glasso_kkt_residual(theta, s, lam: float) -> float:
     S_ij - W_ij + lam*sign(theta_ij) = 0, and the diagonal S_ii = W_ii,
     where W is the exact inverse of theta.
     """
-    w = linalg.spd_inverse(theta)  # checks theta's symmetry as well
-    td = np.asarray(theta, dtype=np.float64)
-    g = linalg.as_sym_array(s) - w
+    td = linalg.as_sym_matrix(theta)
+    w = linalg.spd_inverse(td)
+    g = linalg.as_sym_matrix(s) - w
     off = ~np.eye(td.shape[0], dtype=bool)
     nz = off & (td != 0.0)
     zz = off & (td == 0.0)

@@ -15,6 +15,7 @@ import json
 import csv
 import sys
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -321,14 +322,24 @@ def _build_parser(file_defaults: dict | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
+@lru_cache(maxsize=None)
+def _plain_parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The ``--config`` pre-parser and the parser without file defaults,
+    built once per process: each build leaves a few hundred objects in
+    reference cycles. A ``--config`` call builds its own parser, so file
+    defaults never reach a later call."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
+    return pre, _build_parser()
+
+
+def main(argv=None) -> int:
+    argv = list(sys.argv[1:]) if argv is None else list(argv)
+    pre, parser = _plain_parsers()
     known, _ = pre.parse_known_args(argv)
     try:
-        parser = _build_parser(json.loads(Path(known.config).read_text())
-                               if known.config else None)
+        if known.config:
+            parser = _build_parser(json.loads(Path(known.config).read_text()))
     except OSError as exc:
         print(f"error: --config: {exc}", file=sys.stderr)
         return EXIT_IO

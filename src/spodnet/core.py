@@ -107,31 +107,6 @@ def _check_margin(v) -> None:
         raise ValueError("margin v must be strictly positive")
 
 
-def _matrices(a: np.ndarray) -> list[tuple[int | None, np.ndarray]]:
-    """(flat batch position, matrix) for each matrix of a ``(..., p, p)``
-    array; the position is None when there is no batch axis."""
-    if a.ndim <= 2:
-        return [(None, a)]
-    return list(enumerate(a.reshape(-1, *a.shape[-2:])))
-
-
-def _spd_inverse(a: np.ndarray) -> np.ndarray:
-    """:func:`linalg.spd_inverse` of each matrix of a ``(..., p, p)`` array.
-    A :class:`linalg.NotPositiveDefinite` carries the failing sample's flat
-    batch position as ``sample``."""
-    if a.ndim <= 2:
-        return linalg.spd_inverse(a)
-    out = np.empty(a.shape)
-    flat = out.reshape(-1, *a.shape[-2:])
-    for j, m in _matrices(a):
-        try:
-            flat[j] = linalg.spd_inverse(m)
-        except linalg.NotPositiveDefinite as exc:
-            exc.sample = j
-            raise
-    return out
-
-
 @dataclass
 class LayerConfig:
     """Shape of the unrolled forward pass.
@@ -141,7 +116,8 @@ class LayerConfig:
     instability studies). ``tape_mode`` picks the gradient bookkeeping
     described in the module docstring. Every layer of a pass that is not
     a replay ends with a dense refresh of the inverse and
-    :meth:`SpdState.validate` on the refreshed pair.
+    :meth:`SpdState.validate` on the refreshed pair, each one stacked
+    factorization over the whole batch.
     """
 
     zeta: float = 1.0
@@ -170,20 +146,23 @@ class SpdState:
         return self.theta.data.shape[-1]
 
     def validate(self) -> None:
-        """Strict Cholesky on a detached copy plus inverse-pair residual,
-        matrix by matrix."""
-        eye = np.eye(self.p)
-        for (j, td), (_, wd) in zip(_matrices(self.theta.data), _matrices(self.w.data)):
-            try:
-                linalg.cholesky(td)
-            except linalg.NotPositiveDefinite as exc:
-                raise SpdViolation(f"state matrix is not PD: {exc}", sample=j) from exc
-            resid = float(np.abs(td @ wd - eye).max())
-            cond_inf = float(np.abs(td).sum(axis=1).max() * np.abs(wd).sum(axis=1).max())
-            if not np.isfinite(resid) or resid > PAIR_RESIDUAL_RTOL * max(cond_inf, 1.0):
-                raise SpdViolation(
-                    f"inverse pair drifted: residual {resid:.3e} vs cond {cond_inf:.3e}",
-                    sample=j)
+        """Strict Cholesky on a detached copy plus inverse-pair residual, each
+        one vectorised call over the stack. The first failing sample is
+        named, its Cholesky checked before its residual, as if the matrices
+        were checked one by one."""
+        td, wd = self.theta.data, self.w.data
+        resid = np.abs(td @ wd - np.eye(self.p)).max(axis=(-2, -1))
+        cond_inf = np.abs(td).sum(axis=-1).max(axis=-1) * np.abs(wd).sum(axis=-1).max(axis=-1)
+        paired = np.isfinite(resid) & (resid <= PAIR_RESIDUAL_RTOL * np.maximum(cond_inf, 1.0))
+        try:
+            linalg.cholesky(td)
+        except linalg.NotPositiveDefinite as exc:
+            if exc.sample is None or paired.reshape(-1)[:exc.sample].all():
+                raise SpdViolation(f"state matrix is not PD: {exc}",
+                                   sample=exc.sample) from exc
+        _require(paired, lambda j: f"inverse pair drifted: residual "
+                                   f"{float(resid.reshape(-1)[j]):.3e} vs cond "
+                                   f"{float(cond_inf.reshape(-1)[j]):.3e}")
 
 
 @dataclass
@@ -316,7 +295,7 @@ def diag_entry(a: Tensor, i: int) -> Tensor:
 
 def spd_inverse_op(a: Tensor) -> Tensor:
     """Differentiable SPD inverse (dense; used at layer boundaries only)."""
-    inv = _spd_inverse(a.data)
+    inv = linalg.spd_inverse(a.data)
 
     def vjp(g):
         return (-inv @ g @ inv,)
@@ -501,8 +480,8 @@ def bauer_fike_check(theta_before, theta_after,
     Returns (within bound, max excess over the bound); the excess is
     negative when the bound holds with room to spare.
     """
-    wb = np.linalg.eigvalsh(linalg.as_sym_array(theta_before))
-    wa = np.linalg.eigvalsh(linalg.as_sym_array(theta_after))
+    wb = np.linalg.eigvalsh(linalg.as_sym_matrix(theta_before))
+    wa = np.linalg.eigvalsh(linalg.as_sym_matrix(theta_after))
     excess = float((np.abs(wb - wa) - delta_op_norm).max())
     return excess <= BAUER_FIKE_SLACK, excess
 
@@ -568,12 +547,11 @@ def spodnet_layer(state: SpdState, fns: UpdateFns, cfg: LayerConfig,
 
 def initial_state(s: np.ndarray) -> SpdState:
     """theta = inv(s + I), w = s + I: an exact inverse pair to start from,
-    for each symmetric matrix of ``s`` (``(..., p, p)``)."""
-    sd = np.asarray(getattr(s, "data", s), dtype=np.float64)
-    for _, m in _matrices(sd):
-        linalg.as_sym_array(m)
+    for each symmetric matrix of ``s`` (``(..., p, p)``); one stacked check
+    and one stacked inverse."""
+    sd = linalg.as_sym_array(s)
     shifted = sd + np.eye(sd.shape[-1])
-    theta0 = _spd_inverse(shifted)
+    theta0 = linalg.spd_inverse(shifted)
     return SpdState(theta=Tensor(theta0), w=Tensor(0.5 * (shifted + shifted.mT)))
 
 
@@ -600,7 +578,7 @@ def spodnet_forward(s, fns: UpdateFns, cfg: LayerConfig, *, hook=None,
             if w_replay is None:
                 # resynchronize the maintained inverse at every layer boundary
                 w = (spd_inverse_op(state.theta) if cfg.tape_mode == "full"
-                     else Tensor(_spd_inverse(state.theta.data)))
+                     else Tensor(linalg.spd_inverse(state.theta.data)))
                 state = SpdState(state.theta, w)
                 state.validate()
         except linalg.NotPositiveDefinite as exc:

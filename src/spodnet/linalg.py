@@ -1,16 +1,22 @@
 """Dense symmetric/SPD linear algebra used outside the differentiated path.
 
-Factorizations, eigensolves and solves are delegated to LAPACK through
-numpy. scipy serves only :func:`spd_inverse`'s two triangular solves (numpy
-has no transposed triangular solve, and a numpy-only inverse rounds
-differently), and it is imported on the first call: loading
-``scipy.linalg`` takes about 0.2 s, which a process that never inverts,
-such as ``gen-data``, should not pay.
+Every function takes one ``(p, p)`` matrix or a stack ``(..., p, p)``, and
+checks and factors a stack in one vectorised call. Factorizations and
+eigensolves are delegated to LAPACK through numpy, which runs the same
+``potrf``/``syevd`` per matrix of a stack, so a stacked result has the bits
+of the per-matrix one. The triangular solves of :func:`spd_inverse` call
+scipy's LAPACK ``dtrtrs``, once per matrix, with the arguments that
+``scipy.linalg.solve_triangular`` passes it. numpy is not used for them
+yet: it has no transposed triangular solve, a numpy-only inverse rounds
+differently, and the acceptance suite's 30-epoch training (criterion 10)
+turns on the inverse's last bits. scipy is imported on the first call:
+loading it takes about 0.2 s, which a process that never inverts, such as
+``gen-data``, should not pay.
 
 This module adds the strict positive-definiteness contract (failures carry
-the offending pivot index; non-finite input is never positive definite),
-symmetrized inverses, and the pivot index set shared by the update layer
-and the solvers.
+the offending pivot index and, for a stack, the sample; non-finite input is
+never positive definite), symmetrized inverses, and the pivot index set
+shared by the update layer and the solvers.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import numpy as np
 __all__ = [
     "NotPositiveDefinite",
     "as_sym_array",
+    "as_sym_matrix",
     "cholesky",
     "eig_diagnostics",
     "is_spd",
@@ -35,31 +42,44 @@ _SYM_RTOL = 1e-12
 class NotPositiveDefinite(Exception):
     """Cholesky met a non-positive pivot: the matrix is not numerically PD.
 
-    ``sample`` is None here; a caller that factors each matrix of a batch
-    sets it to the failing matrix's batch position.
+    ``sample`` is the flat batch position of the first failing matrix of a
+    stack, or None when the input had no batch axis.
     """
 
-    def __init__(self, pivot: int):
+    def __init__(self, pivot: int, sample: int | None = None):
         super().__init__(f"matrix is not positive definite (failing pivot {pivot})")
         self.pivot = pivot
-        self.sample: int | None = None
+        self.sample = sample
 
 
 def as_sym_array(a) -> np.ndarray:
-    """Coerce to a square float64 array and require symmetry: 1e-12 relative
-    when finite, exact (NaN positions included) otherwise."""
+    """Coerce to a float64 ``(..., p, p)`` array and require each matrix to be
+    symmetric: 1e-12 relative when finite, exact (NaN positions included)
+    otherwise."""
     m = np.asarray(getattr(a, "data", a), dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    scale = float(np.abs(m).max()) if m.size else 0.0
-    if np.isfinite(scale):
-        asymmetric = scale > 0.0 and float(np.abs(m - m.T).max()) > _SYM_RTOL * scale
+    scale = np.abs(m).max(axis=(-2, -1), initial=0.0)
+    finite = np.isfinite(scale)
+    if finite.all():
+        asymmetric = np.abs(m - m.mT).max(axis=(-2, -1), initial=0.0) > _SYM_RTOL * scale
     else:
         # a NaN or inf scale makes the relative test meaningless
-        asymmetric = not np.array_equal(m, m.T, equal_nan=True)
-    if asymmetric:
+        mirrored = ((m == m.mT) | (np.isnan(m) & np.isnan(m.mT))).all(axis=(-2, -1))
+        with np.errstate(invalid="ignore"):
+            diff = np.abs(m - m.mT).max(axis=(-2, -1), initial=0.0)
+        asymmetric = np.where(finite, diff > _SYM_RTOL * scale, ~mirrored)
+    if asymmetric.any():
         raise ValueError("matrix is not symmetric")
     return m
+
+
+def as_sym_matrix(a) -> np.ndarray:
+    """:func:`as_sym_array` for callers that take one matrix, not a stack."""
+    m = np.asarray(getattr(a, "data", a), dtype=np.float64)
+    if m.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    return as_sym_array(m)
 
 
 @lru_cache(maxsize=None)
@@ -73,17 +93,27 @@ def rest_indices(p: int, i: int) -> np.ndarray:
 
 
 def cholesky(a) -> np.ndarray:
-    """Lower-triangular L with a = L L'; strictly positive pivots required.
+    """Lower-triangular L with a = L L' for each matrix of ``a``; strictly
+    positive pivots required.
 
     Non-finite input is rejected too: LAPACK factors NaN without failing.
+    A stack is checked and factored in one call; only when that fails is it
+    walked matrix by matrix, to name the first failing one.
     """
     m = as_sym_array(a)
-    if not np.isfinite(m).all():
+    if np.isfinite(m).all():
+        try:
+            return np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            pass
+    if m.ndim == 2:
         raise NotPositiveDefinite(_failing_pivot(m))
-    try:
-        return np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite(_failing_pivot(m)) from None
+    for j, mj in enumerate(m.reshape(-1, *m.shape[-2:])):
+        try:
+            cholesky(mj)
+        except NotPositiveDefinite as exc:
+            raise NotPositiveDefinite(exc.pivot, sample=j) from None
+    raise AssertionError("a stacked Cholesky failed where each matrix factors")
 
 
 def _failing_pivot(m: np.ndarray) -> int:
@@ -109,19 +139,31 @@ def is_spd(a) -> bool:
 
 
 def spd_inverse(a) -> np.ndarray:
-    """Inverse of an SPD matrix via Cholesky, symmetrized on output."""
+    """Inverse of each SPD matrix of ``a`` via Cholesky, symmetrized on output.
+
+    Each inverse is ``inv(L') inv(L)``: two ``dtrtrs`` solves against L',
+    with the arguments that ``scipy.linalg.solve_triangular(L, I,
+    lower=True)`` and ``solve_triangular(L', ., lower=False)`` pass, so the
+    bits are theirs. Their per-call checks are skipped: :func:`cholesky`
+    has checked the input, and its factor has a strictly positive diagonal.
+    """
     # imported here so a process that never inverts does not load scipy.linalg
-    from scipy.linalg import solve_triangular
+    from scipy.linalg.lapack import dtrtrs
 
     L = cholesky(a)
-    eye = np.eye(L.shape[0])
-    half = solve_triangular(L, eye, lower=True)
-    inv = solve_triangular(L.T, half, lower=False)
-    return 0.5 * (inv + inv.T)
+    p = L.shape[-1]
+    eye = np.eye(p)
+    inv = np.empty(L.shape)
+    for lj, out in zip(L.reshape(-1, p, p), inv.reshape(-1, p, p)):
+        upper = lj.T
+        half, _ = dtrtrs(upper, eye, lower=0, trans=1)
+        out[...], _ = dtrtrs(upper, half, lower=0, trans=0, overwrite_b=1)
+    return 0.5 * (inv + inv.mT)
 
 
-def eig_diagnostics(a) -> tuple[float, float, float]:
-    """(smallest eigenvalue, largest eigenvalue, their ratio).
+def eig_diagnostics(a):
+    """(smallest eigenvalue, largest eigenvalue, their ratio) of each matrix
+    of ``a``: floats for one matrix, arrays of the batch shape for a stack.
 
     Diagnostic only; never on the differentiated path.
     """
@@ -129,6 +171,8 @@ def eig_diagnostics(a) -> tuple[float, float, float]:
     if not np.isfinite(m).all():
         raise ValueError("eig_diagnostics: matrix has non-finite entries")
     vals = np.linalg.eigvalsh(m)
-    lo, hi = float(vals[0]), float(vals[-1])
-    cond = hi / lo if lo != 0.0 else float("inf")
+    lo, hi = vals[..., 0], vals[..., -1]
+    cond = np.divide(hi, lo, out=np.full(lo.shape, np.inf), where=lo != 0.0)
+    if m.ndim == 2:
+        return float(lo), float(hi), float(cond)
     return lo, hi, cond

@@ -161,16 +161,22 @@ def offdiag_density(mat) -> float:
 
 
 def score_estimates(entries, estimates) -> dict:
-    """Per-sample rows plus aggregates for one estimate per entry."""
+    """Per-sample rows plus aggregates for one estimate per entry; the
+    spectra come from one stacked eigensolve per ``EVAL_CHUNK`` estimates,
+    so no copy of all of them is made at once."""
+    estimates = list(estimates)
+    spectra = [linalg.eig_diagnostics(np.stack(estimates[start:start + EVAL_CHUNK]))
+               for start in range(0, len(estimates), EVAL_CHUNK)]
+    lows = np.concatenate([lo for lo, _, _ in spectra])
+    conds = np.concatenate([cond for _, _, cond in spectra])
     rows = []
-    for idx, (entry, est) in enumerate(zip(entries, estimates)):
-        lo, _, cond = linalg.eig_diagnostics(est)
+    for idx, (entry, est, lo, cond) in enumerate(zip(entries, estimates, lows, conds)):
         rows.append({
             "sample_id": idx,
             "nmse": nmse([est], [entry.theta_true]),
             "f1": f1_support(est, entry.theta_true),
-            "min_eig": lo,
-            "cond": cond,
+            "min_eig": float(lo),
+            "cond": float(cond),
             "density": offdiag_density(est),
             "spd": bool(lo > 0.0),
         })

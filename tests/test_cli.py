@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from spodnet import datagen, models
+from spodnet import cli, datagen, models, training
 from spodnet.cli import main
 
 
@@ -433,6 +433,38 @@ class TestConfigFile:
         assert main(["baseline", "--method", "glasso", "--data", str(test),
                      "--out", str(default)]) == 0
         assert from_file.read_text() != default.read_text()
+
+    def test_plain_calls_reuse_one_parser(self, tmp_path, monkeypatch):
+        cli._plain_parsers()  # built once per process, maybe by an earlier test
+        built = []
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser",
+                            lambda *a: built.append(a) or build(*a))
+        for j in range(2):
+            assert main(["gen-data", "--p", "3", "--n", "4", "--num", "1",
+                         "--out", str(tmp_path / f"ds{j}")]) == 0
+        assert built == []
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p": 3}))
+        assert main(["--config", str(cfg), "gen-data", "--n", "4", "--num", "1",
+                     "--out", str(tmp_path / "ds_cfg")]) == 0
+        assert len(built) == 1
+
+    def test_file_defaults_do_not_reach_a_later_call(self, tmp_path, small_data,
+                                                     monkeypatch):
+        train, test = small_data
+        epochs = []
+
+        def fake_train(params, train_entries, test_entries, cfg, layer_cfg):
+            epochs.append(cfg.epochs)
+            return []
+        monkeypatch.setattr(training, "train", fake_train)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": 3}))
+        flags = ["train", "--train", str(train), "--test", str(test)]
+        assert main(["--config", str(cfg)] + flags + ["--out", str(tmp_path / "a")]) == 0
+        assert main(flags + ["--out", str(tmp_path / "b")]) == 0
+        assert epochs == [3, 10]
 
     def test_non_object_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

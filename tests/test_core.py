@@ -418,6 +418,21 @@ class TestForward:
             SpdState(Tensor(np.eye(3)), Tensor(np.eye(3) * 2.0)).validate()
         assert exc.value.sample is None
 
+    def test_validate_names_the_first_failing_sample(self):
+        # each sample's Cholesky is checked before its residual, as if the
+        # stack were checked matrix by matrix
+        theta = np.stack([np.eye(3)] * 4)
+        w = theta.copy()
+        w[1, 0, 1] = w[1, 1, 0] = 0.5  # drifted pair
+        theta[2, 0, 0] = -1.0  # not PD
+        with pytest.raises(SpdViolation, match="drifted") as exc:
+            SpdState(Tensor(theta), Tensor(w)).validate()
+        assert exc.value.sample == 1
+        theta[1, 0, 0] = -1.0
+        with pytest.raises(SpdViolation, match="not PD") as exc:
+            SpdState(Tensor(theta), Tensor(w)).validate()
+        assert exc.value.sample == 1
+
     def test_validate_rejects_non_finite_state(self):
         nan_theta = np.eye(3)
         nan_theta[0, 0] = np.nan

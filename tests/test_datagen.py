@@ -184,6 +184,22 @@ class TestDataset:
             with pytest.raises(ValueError, match=f"entry 1: S \\+ I: .*{why}"):
                 load_dataset(tmp_path / "ds")
 
+    def test_first_invalid_covariance_is_named(self, tmp_path):
+        # stacked factorizations check every S + I; the entry named is the
+        # first that fails, whatever the later ones hold
+        ds = build_dataset(GenConfig(p=4, n=8, num=45, alpha=0.6, seed=3))
+        for first in (1, 41):
+            ds.entries[first].s = np.diag([-3.0, 1.0, 1.0, 1.0])
+            ds.entries[first + 1].s = np.triu(np.ones((4, 4)))
+        ds.entries[1].s = ds.entries[0].s
+        save_dataset(ds, tmp_path / "ds")
+        with pytest.raises(ValueError, match="entry 2: S \\+ I: .*symmetric"):
+            load_dataset(tmp_path / "ds")
+        ds.entries[2].s = ds.entries[0].s
+        save_dataset(ds, tmp_path / "ds")
+        with pytest.raises(ValueError, match="entry 41: S \\+ I: .*positive definite"):
+            load_dataset(tmp_path / "ds")
+
     def test_samples_not_stored_by_default(self, tmp_path):
         ds = build_dataset(GenConfig(p=4, n=8, num=1, alpha=0.6, seed=3))
         assert ds.entries[0].samples is None

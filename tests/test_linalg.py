@@ -194,3 +194,121 @@ class TestEigDiagnostics:
         scale = np.linalg.norm(a)
         assert abs(lo - 0.5) <= 1e-9 * scale
         assert abs(hi - 21.0) <= 1e-9 * scale
+
+
+def _spd_stack(rng, shape, p):
+    flat = [_random_spd(rng, p) for _ in range(int(np.prod(shape)))]
+    return np.stack(flat).reshape(*shape, p, p)
+
+
+@pytest.mark.parametrize("p", [2, 6, 20, 100])
+class TestStackBits:
+    """Training outcomes depend on the inverse's last bits, so the stacked
+    kernels must give each matrix exactly the per-matrix result."""
+
+    def test_inverse_is_the_two_triangular_solves(self, p):
+        from scipy.linalg import solve_triangular
+
+        a = _random_spd(np.random.default_rng(p), p)
+        L = np.linalg.cholesky(a)
+        half = solve_triangular(L, np.eye(p), lower=True)
+        inv = solve_triangular(L.T, half, lower=False)
+        assert np.array_equal(spd_inverse(a), 0.5 * (inv + inv.T))
+
+    def test_stacked_inverse_equals_per_matrix(self, p):
+        stack = _spd_stack(np.random.default_rng(p + 1), (2, 3), p)
+        out = spd_inverse(stack)
+        assert out.shape == stack.shape
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(out[idx], spd_inverse(stack[idx]))
+
+    def test_stacked_cholesky_equals_per_matrix(self, p):
+        stack = _spd_stack(np.random.default_rng(p + 2), (2, 3), p)
+        out = cholesky(stack)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(out[idx], cholesky(stack[idx]))
+
+    def test_stacked_eig_diagnostics_equal_per_matrix(self, p):
+        stack = _spd_stack(np.random.default_rng(p + 3), (4,), p)
+        lo, hi, cond = eig_diagnostics(stack)
+        assert lo.shape == hi.shape == cond.shape == (4,)
+        for j in range(4):
+            assert (lo[j], hi[j], cond[j]) == eig_diagnostics(stack[j])
+
+
+class TestStackFailures:
+    def _stack_with(self, bad, j, shape=(2, 3), p=5):
+        stack = _spd_stack(np.random.default_rng(7), shape, p)
+        stack.reshape(-1, p, p)[j] = bad
+        return stack
+
+    @pytest.mark.parametrize("j", [0, 4, 5])
+    def test_indefinite_member_names_sample_and_pivot(self, j):
+        bad = np.eye(5)
+        bad[2:4, 2:4] = [[1.0, 2.0], [2.0, 1.0]]  # fails at pivot 3
+        with pytest.raises(NotPositiveDefinite) as single:
+            cholesky(bad)
+        assert single.value.sample is None
+        for fn in (cholesky, spd_inverse):
+            with pytest.raises(NotPositiveDefinite) as exc:
+                fn(self._stack_with(bad, j))
+            assert (exc.value.sample, exc.value.pivot) == (j, single.value.pivot) == (j, 3)
+            assert str(exc.value) == str(single.value)
+        assert not is_spd(self._stack_with(bad, j))
+
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf])
+    def test_non_finite_member_names_sample_and_pivot(self, bad_value):
+        bad = np.eye(5)
+        bad[1, 1] = bad_value
+        with pytest.raises(NotPositiveDefinite) as exc:
+            cholesky(self._stack_with(bad, 3))
+        assert (exc.value.sample, exc.value.pivot) == (3, 1)
+
+    def test_first_failing_member_is_named(self):
+        bad = np.diag([1.0, -1.0, 1.0, 1.0, 1.0])
+        stack = self._stack_with(bad, 4)
+        stack.reshape(-1, 5, 5)[1] = np.diag([1.0, 1.0, 1.0, 1.0, -2.0])
+        with pytest.raises(NotPositiveDefinite) as exc:
+            spd_inverse(stack)
+        assert (exc.value.sample, exc.value.pivot) == (1, 4)
+
+    def test_asymmetric_member_rejected(self):
+        bad = np.eye(5)
+        bad[0, 3] = 0.5
+        for fn in (linalg.as_sym_array, cholesky, spd_inverse, eig_diagnostics):
+            with pytest.raises(ValueError, match="not symmetric"):
+                fn(self._stack_with(bad, 2))
+
+    def test_non_finite_members_must_mirror_exactly(self):
+        bad = np.eye(5)
+        bad[0, 3] = bad[3, 0] = np.nan
+        assert np.array_equal(linalg.as_sym_array(self._stack_with(bad, 1)),
+                              self._stack_with(bad, 1), equal_nan=True)
+        bad[3, 0] = 0.0
+        with pytest.raises(ValueError, match="not symmetric"):
+            linalg.as_sym_array(self._stack_with(bad, 1))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 4), (4, 2, 3)])
+    def test_non_square_rejected(self, shape):
+        for fn in (linalg.as_sym_array, cholesky, spd_inverse, eig_diagnostics):
+            with pytest.raises(ValueError, match="square"):
+                fn(np.ones(shape))
+
+    def test_single_matrix_entry_points_reject_a_stack(self):
+        from spodnet import baselines, core, datagen
+
+        stack = np.stack([np.eye(3), np.eye(3)])
+        cfg = baselines.GlassoConfig()
+        calls = [
+            lambda: linalg.as_sym_matrix(stack),
+            lambda: baselines.glasso_solve(stack, cfg),
+            lambda: baselines.glasso_objective(stack, np.eye(3), 0.1),
+            lambda: baselines.glasso_objective(np.eye(3), stack, 0.1),
+            lambda: baselines.glasso_kkt_residual(stack, np.eye(3), 0.1),
+            lambda: baselines.glasso_kkt_residual(np.eye(3), stack, 0.1),
+            lambda: core.bauer_fike_check(stack, stack, 1.0),
+            lambda: datagen.sample_covariance(stack, 4, datagen.make_rng(0)),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="square matrix"):
+                call()
