@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, core, datagen, models, training
+from . import baselines, core, datagen, linalg, models, training
 
 __all__ = ["main"]
 
@@ -175,7 +175,13 @@ def cmd_baseline(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown method {method!r}")
 
-    report = training.score_estimates(ds.entries, [one(e) for e in ds.entries])
+    estimates = []
+    for idx, entry in enumerate(ds.entries):
+        try:
+            estimates.append(one(entry))
+        except linalg.NotPositiveDefinite as exc:
+            raise core.SpdViolation(f"sample {idx}: {exc}", sample=idx) from exc
+    report = training.score_estimates(ds.entries, estimates)
     _write_report(out, report, method)
     return EXIT_OK
 
@@ -206,19 +212,26 @@ def cmd_diagnose(args) -> int:
             try:
                 models.forward(entry.s, params, layer_cfg, hook=events.append)
             except core.SpdViolation as exc:
-                raise core.SpdViolation(f"sample {idx}: {exc}") from exc
-            trace = training.spectral_trace([ev.theta_after for ev in events])
-            for ev, (_, lo, max_diag, cond) in zip(events, trace):
-                writer.writerow((idx, ev.layer, ev.i, ev.i, repr(lo),
-                                 repr(max_diag), repr(cond)))
-                lam_hi, lam_lo = core.rank2_delta_eigs(ev.col_diff, ev.diag_diff)
-                ok, excess = core.bauer_fike_check(
-                    ev.theta_before, ev.theta_after,
-                    max(abs(lam_hi), abs(lam_lo)))
-                checked += 1
-                max_excess = max(max_excess, excess)
-                if not ok:
-                    violations += 1
+                raise core.SpdViolation(f"sample {idx}: {exc}", sample=idx) from exc
+            # one eigensolve per EVAL_CHUNK snapshots, so that no stacked
+            # copy of all K * p of them is made
+            for start in range(0, len(events), training.EVAL_CHUNK):
+                chunk = events[start:start + training.EVAL_CHUNK]
+                lows, _, conds = linalg.eig_diagnostics(
+                    np.stack([ev.theta_after for ev in chunk]))
+                for ev, lo, cond in zip(chunk, lows.tolist(), conds.tolist()):
+                    max_diag = float(np.diag(ev.theta_after).max())
+                    writer.writerow((idx, ev.layer, ev.i, ev.i, repr(lo),
+                                     repr(max_diag), repr(cond)))
+                    lam_hi, lam_lo = core.rank2_delta_eigs(ev.col_diff,
+                                                           ev.diag_diff)
+                    ok, excess = core.bauer_fike_check(
+                        ev.theta_before, ev.theta_after,
+                        max(abs(lam_hi), abs(lam_lo)))
+                    checked += 1
+                    max_excess = max(max_excess, excess)
+                    if not ok:
+                        violations += 1
     report = {"updates_checked": checked, "violations": violations,
               "max_excess": max_excess}
     _json_dump(out_dir / "bauer_fike.json", report)

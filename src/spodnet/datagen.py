@@ -82,8 +82,8 @@ class GenConfig:
             raise ValueError("n must be >= 1")
         if self.num < 1:
             raise ValueError("num must be >= 1")
-        if self.diag_boost < 0.0:
-            raise ValueError("diag_boost must be >= 0")
+        if not 0.0 <= self.diag_boost < np.inf:
+            raise ValueError("diag_boost must be finite and >= 0")
 
 
 @dataclass

@@ -4,13 +4,16 @@ Training is deterministic under a pinned seed: the epoch shuffles come from
 one seeded counter-based stream. Each minibatch is stacked on a leading
 batch axis and runs as one forward pass and one tape, and evaluation
 forwards ``EVAL_CHUNK`` matrices at a time the same way.
+
+:func:`score_stack` is the one scorer: ``eval``, every baseline and the
+per-epoch metrics of :func:`train` read their figures from it.
 """
 
 from __future__ import annotations
 
 import csv
 import gc
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,17 +24,14 @@ from .autodiff import Tensor
 
 __all__ = [
     "AdamState",
-    "METRICS_FIELDS",
     "MetricsRow",
     "TrainConfig",
     "adam_step",
     "evaluate",
-    "f1_support",
     "mse_loss",
-    "nmse",
     "offdiag_density",
     "score_estimates",
-    "spectral_trace",
+    "score_stack",
     "train",
     "write_metrics_csv",
 ]
@@ -78,10 +78,6 @@ class MetricsRow:
     mean_density: float
 
 
-METRICS_FIELDS = ("epoch", "train_mse", "test_nmse", "test_f1",
-                  "min_eig", "max_cond", "mean_density")
-
-
 def mse_loss(pred: Tensor, truth) -> Tensor:
     """Squared Frobenius distance to the target matrix, as a scalar tensor;
     for a batch ``(..., p, p)``, the sum over its samples."""
@@ -117,76 +113,70 @@ def adam_step(params, grads, state: AdamState, cfg: TrainConfig) -> None:
         p.data -= cfg.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
-def nmse(preds, truths) -> float:
-    """Mean over samples of ||pred - truth||_F^2 / ||truth||_F^2."""
-    preds = list(preds)
-    truths = list(truths)
-    if not preds or len(preds) != len(truths):
-        raise ValueError("nmse needs equally many non-empty preds and truths")
-    total = 0.0
-    for pr, tr in zip(preds, truths):
-        prd = np.asarray(getattr(pr, "data", pr), dtype=np.float64)
-        trd = np.asarray(getattr(tr, "data", tr), dtype=np.float64)
-        if prd.shape != trd.shape:
-            raise ValueError(f"shape mismatch {prd.shape} vs {trd.shape}")
-        denom = float((trd ** 2).sum())
-        if denom == 0.0:
-            raise ValueError("nmse is undefined for a zero-norm truth")
-        total += float(((prd - trd) ** 2).sum()) / denom
-    return total / len(preds)
+def offdiag_density(mats) -> np.ndarray:
+    """Fraction of off-diagonal entries larger than ``ZERO_TOL`` in magnitude,
+    of each matrix of a ``(..., p, p)`` stack; 0-d for one matrix."""
+    return _offdiag_support(mats).mean(axis=-1)
 
 
-def f1_support(pred, truth) -> float:
-    """F1 of off-diagonal support (|entry| > ZERO_TOL); empty-vs-empty scores 1."""
-    prd = np.asarray(getattr(pred, "data", pred), dtype=np.float64)
-    trd = np.asarray(getattr(truth, "data", truth), dtype=np.float64)
-    if prd.shape != trd.shape:
-        raise ValueError(f"shape mismatch {prd.shape} vs {trd.shape}")
-    off = ~np.eye(prd.shape[0], dtype=bool)
-    ps = np.abs(prd) > ZERO_TOL
-    ts = np.abs(trd) > ZERO_TOL
-    tp = int((ps & ts & off).sum())
-    fp = int((ps & ~ts & off).sum())
-    fn = int((~ps & ts & off).sum())
-    if tp + fp + fn == 0:
-        return 1.0
-    return 2.0 * tp / (2.0 * tp + fp + fn)
+def _offdiag_support(mats) -> np.ndarray:
+    # (..., p(p-1)) mask of the off-diagonal entries above ZERO_TOL
+    m = np.asarray(mats, dtype=np.float64)
+    return (np.abs(m) > ZERO_TOL)[..., ~np.eye(m.shape[-1], dtype=bool)]
 
 
-def offdiag_density(mat) -> float:
-    """Fraction of off-diagonal entries larger than ``ZERO_TOL`` in magnitude."""
-    m = np.asarray(getattr(mat, "data", mat), dtype=np.float64)
-    off = ~np.eye(m.shape[0], dtype=bool)
-    return float((np.abs(m) > ZERO_TOL)[off].mean())
+def score_stack(estimates, truths) -> dict[str, np.ndarray]:
+    """Length-B arrays of each sample's metrics for ``(B, p, p)`` stacks of
+    estimates and truths, with the bits of scoring each matrix alone:
+    ``nmse`` ||est - truth||_F^2 / ||truth||_F^2; ``f1`` of the off-diagonal
+    supports (|entry| > ``ZERO_TOL``), 1 when both are empty; the estimate's
+    ``density`` (:func:`offdiag_density`); and its ``min_eig`` and ``cond``
+    from one :func:`linalg.eig_diagnostics`."""
+    est = np.asarray(estimates, dtype=np.float64)
+    truth = np.asarray(truths, dtype=np.float64)
+    if est.shape != truth.shape:
+        raise ValueError(f"shape mismatch {est.shape} vs {truth.shape}")
+    if est.ndim != 3 or not len(est):
+        raise ValueError(f"expected non-empty (B, p, p) stacks, got shape {est.shape}")
+    denom = (truth ** 2).sum(axis=(-2, -1))
+    if (denom == 0.0).any():
+        raise ValueError("nmse is undefined for a zero-norm truth")
+    support, true_support = _offdiag_support(est), _offdiag_support(truth)
+    # F1 = 2 tp / (2 tp + fp + fn), and 2 tp + fp + fn = |support| + |true support|
+    tp = (support & true_support).sum(axis=-1)
+    sizes = support.sum(axis=-1) + true_support.sum(axis=-1)
+    lo, _, cond = linalg.eig_diagnostics(est)
+    return {
+        "nmse": ((est - truth) ** 2).sum(axis=(-2, -1)) / denom,
+        "f1": np.divide(2.0 * tp, sizes, out=np.ones(len(est)), where=sizes > 0),
+        "density": support.mean(axis=-1),
+        "min_eig": lo,
+        "cond": cond,
+    }
 
 
 def score_estimates(entries, estimates) -> dict:
-    """Per-sample rows plus aggregates for one estimate per entry; the
-    spectra come from one stacked eigensolve per ``EVAL_CHUNK`` estimates,
-    so no copy of all of them is made at once."""
+    """Per-sample rows plus aggregates for one estimate per entry, scored by
+    :func:`score_stack` ``EVAL_CHUNK`` estimates at a time, so no copy of
+    all of them is made at once."""
     estimates = list(estimates)
-    spectra = [linalg.eig_diagnostics(np.stack(estimates[start:start + EVAL_CHUNK]))
-               for start in range(0, len(estimates), EVAL_CHUNK)]
-    lows = np.concatenate([lo for lo, _, _ in spectra])
-    conds = np.concatenate([cond for _, _, cond in spectra])
-    rows = []
-    for idx, (entry, est, lo, cond) in enumerate(zip(entries, estimates, lows, conds)):
-        rows.append({
-            "sample_id": idx,
-            "nmse": nmse([est], [entry.theta_true]),
-            "f1": f1_support(est, entry.theta_true),
-            "min_eig": float(lo),
-            "cond": float(cond),
-            "density": offdiag_density(est),
-            "spd": bool(lo > 0.0),
-        })
+    if not estimates or len(estimates) != len(entries):
+        raise ValueError(f"need one estimate per entry, got {len(estimates)} "
+                         f"for {len(entries)} entries")
+    chunks = [score_stack(estimates[start:start + EVAL_CHUNK],
+                          [e.theta_true for e in entries[start:start + EVAL_CHUNK]])
+              for start in range(0, len(estimates), EVAL_CHUNK)]
+    scores = {key: np.concatenate([c[key] for c in chunks]) for key in chunks[0]}
+    rows = [{"sample_id": idx, **{key: float(v[idx]) for key, v in scores.items()},
+             "spd": bool(scores["min_eig"][idx] > 0.0)}
+            for idx in range(len(estimates))]
     agg = {
-        "nmse": float(np.mean([r["nmse"] for r in rows])),
-        "f1": float(np.mean([r["f1"] for r in rows])),
-        "min_eig": float(np.min([r["min_eig"] for r in rows])),
-        "max_cond": float(np.max([r["cond"] for r in rows])),
-        "density": float(np.mean([r["density"] for r in rows])),
-        "all_spd": bool(all(r["spd"] for r in rows)),
+        "nmse": float(np.mean(scores["nmse"])),
+        "f1": float(np.mean(scores["f1"])),
+        "min_eig": float(np.min(scores["min_eig"])),
+        "max_cond": float(np.max(scores["cond"])),
+        "density": float(np.mean(scores["density"])),
+        "all_spd": bool((scores["min_eig"] > 0.0).all()),
     }
     return {"samples": rows, "aggregates": agg}
 
@@ -261,19 +251,11 @@ def train(params: models.ModelParams, train_entries, test_entries,
     return history
 
 
-def spectral_trace(snapshots) -> list[tuple[int, float, float, float]]:
-    """Per-update (index, smallest eigenvalue, largest diagonal, condition)."""
-    rows = []
-    for idx, th in enumerate(snapshots):
-        lo, _, cond = linalg.eig_diagnostics(th)
-        rows.append((idx, lo, float(np.diag(th).max()), cond))
-    return rows
-
-
 def write_metrics_csv(path, rows) -> None:
+    """One CSV line per :class:`MetricsRow`, headed by its field names."""
+    names = [f.name for f in fields(MetricsRow)]
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(METRICS_FIELDS)
+        writer.writerow(names)
         for row in rows:
-            writer.writerow([row.epoch] + [repr(getattr(row, f))
-                                           for f in METRICS_FIELDS[1:]])
+            writer.writerow([repr(getattr(row, name)) for name in names])

@@ -410,6 +410,15 @@ class TestCriterion8:
                 f"{exceptions} exceptions)")
 
 
+def _shrinkage_nmse(entries) -> tuple[float, float]:
+    """Mean nmse of the Ledoit-Wolf and of the OAS estimates of ``entries``."""
+    truths = [e.theta_true for e in entries]
+    return tuple(
+        float(np.mean(training.score_stack([method(e.samples) for e in entries],
+                                           truths)["nmse"]))
+        for method in (baselines.ledoit_wolf, baselines.oas))
+
+
 class TestCriterion9:
     def test_orderings_against_baselines(self, strongly_sparse_p20,
                                          trained_ubg_p20):
@@ -418,23 +427,15 @@ class TestCriterion9:
         ubg_nmse = history[-1].test_nmse
         ubg_f1 = history[-1].test_f1
 
-        lw_nmse = []
-        oas_nmse = []
-        cv_f1 = []
         cv_cfg = baselines.GlassoConfig(max_sweeps=30, tol=1e-7)
+        cv_thetas = []
         for entry in test_ds.entries:
-            denom = float((entry.theta_true ** 2).sum())
-            lw = baselines.ledoit_wolf(entry.samples)
-            oa = baselines.oas(entry.samples)
-            lw_nmse.append(float(((lw - entry.theta_true) ** 2).sum()) / denom)
-            oas_nmse.append(float(((oa - entry.theta_true) ** 2).sum()) / denom)
             grid = baselines.default_lambda_grid(entry.samples, 8)
-            _, theta = baselines.glasso_cv(entry.samples, grid, folds=3,
-                                           cfg=cv_cfg)
-            cv_f1.append(training.f1_support(theta, entry.theta_true))
-        lw = float(np.mean(lw_nmse))
-        oa = float(np.mean(oas_nmse))
-        cv = float(np.mean(cv_f1))
+            cv_thetas.append(baselines.glasso_cv(entry.samples, grid, folds=3,
+                                                 cfg=cv_cfg)[1])
+        lw, oa = _shrinkage_nmse(test_ds.entries)
+        truths = [e.theta_true for e in test_ds.entries]
+        cv = float(np.mean(training.score_stack(cv_thetas, truths)["f1"]))
         ok = ubg_nmse < lw and ubg_nmse < oa and ubg_f1 >= cv - 0.05
         _report(9, ok,
                 f"UBG nmse {ubg_nmse:.4f} < LW {lw:.4f} and OAS {oa:.4f}; "
@@ -460,16 +461,7 @@ class TestCriterion11:
         ds = datagen.build_dataset(
             datagen.GenConfig(p=100, n=100, num=25, alpha=0.7, seed=700,
                               keep_samples=True))
-        lw_nmse = []
-        oas_nmse = []
-        for entry in ds.entries:
-            denom = float((entry.theta_true ** 2).sum())
-            lw = baselines.ledoit_wolf(entry.samples)
-            oa = baselines.oas(entry.samples)
-            lw_nmse.append(float(((lw - entry.theta_true) ** 2).sum()) / denom)
-            oas_nmse.append(float(((oa - entry.theta_true) ** 2).sum()) / denom)
-        lw = float(np.mean(lw_nmse))
-        oa = float(np.mean(oas_nmse))
+        lw, oa = _shrinkage_nmse(ds.entries)
         _report(11, lw >= 0.75 and oa >= 0.75,
                 f"at p=100, n=100, weakly sparse: LW nmse {lw:.3f}, "
                 f"OAS nmse {oa:.3f}")

@@ -140,20 +140,15 @@ class TestGlassoCv:
         assert np.abs(per_fold - per_fold[0]).max() <= 1e-9
 
     def test_selected_lambda_beats_grid_extremes_on_f1(self):
-        from spodnet.training import f1_support
+        from spodnet.training import score_stack
         theta_true, _, x = _entry(10, 500, 0.9, seed=8)
         cfg = GlassoConfig(max_sweeps=40, tol=1e-8)
         grid = default_lambda_grid(x, size=6)
         lam, theta = glasso_cv(x, grid, folds=3, cfg=cfg)
-        f1_sel = f1_support(theta, theta_true)
-        f1_lo = f1_support(glasso_solve(empirical_covariance(x),
-                                        GlassoConfig(lam=grid[0],
-                                                     max_sweeps=40,
-                                                     tol=1e-8)), theta_true)
-        f1_hi = f1_support(glasso_solve(empirical_covariance(x),
-                                        GlassoConfig(lam=grid[-1],
-                                                     max_sweeps=40,
-                                                     tol=1e-8)), theta_true)
+        ends = [glasso_solve(empirical_covariance(x),
+                             GlassoConfig(lam=l, max_sweeps=40, tol=1e-8))
+                for l in (grid[0], grid[-1])]
+        f1_sel, f1_lo, f1_hi = score_stack([theta, *ends], [theta_true] * 3)["f1"]
         assert f1_sel >= max(f1_lo, f1_hi) - 1e-12
 
     def test_degenerate_fold_rejected(self):

@@ -1,12 +1,13 @@
 """End-to-end command line behavior, including exit codes and determinism."""
 
+import csv
 import json
 import re
 
 import numpy as np
 import pytest
 
-from spodnet import cli, datagen, models, training
+from spodnet import cli, core, datagen, linalg, models, training
 from spodnet.cli import main
 
 
@@ -55,6 +56,15 @@ class TestGenData:
 
     def test_missing_out_exits_2(self):
         assert main(["gen-data", "--p", "5", "--n", "10", "--num", "1"]) == 2
+
+    @pytest.mark.parametrize("boost", ["nan", "inf"])
+    def test_non_finite_diag_boost_exits_2(self, tmp_path, boost, capsys):
+        code = main(["gen-data", "--p", "5", "--n", "10", "--num", "1",
+                     "--alpha", "0.5", "--diag-boost", boost,
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "diag_boost" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_entry_count(self, tmp_path):
         main(["gen-data", "--p", "4", "--n", "5", "--num", "4",
@@ -265,6 +275,21 @@ class TestSpdViolation:
         assert re.search(r"epoch 0, sample \d+: layer 0:", capsys.readouterr().err)
 
 
+    def test_diagnose_violation_carries_the_sample(self, tmp_path):
+        data = str(tmp_path / "data")
+        assert main(["gen-data", "--p", "8", "--n", "40", "--num", "3",
+                     "--alpha", "0.9", "--seed", "0", "--out", data]) == 0
+        assert main(["train", "--model", "e2e", "--train", data, "--test", data,
+                     "--seed", "0", "--epochs", "0",
+                     "--out", str(tmp_path / "run")]) == 0
+        args = cli._build_parser().parse_args(
+            ["diagnose", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
+             "--data", data, "--out", str(tmp_path / "d")])
+        with pytest.raises(core.SpdViolation, match="^sample 1: ") as exc:
+            args.func(args)
+        assert exc.value.sample == 1
+
+
 class TestBaseline:
     @pytest.mark.parametrize("edit", [
         lambda m: {**m, "extra": 1},
@@ -329,17 +354,52 @@ class TestBaseline:
                      "--out", str(tmp_path / "oas.json")])
         assert code == 0
 
+    @pytest.mark.parametrize("method", ["lw", "oas"])
+    def test_all_zero_samples_exit_4_naming_the_sample(self, tmp_path, small_data,
+                                                       method, capsys):
+        # finite, and S + I = I is PD, so the dataset loads; its shrunk
+        # covariance is 0, which has no inverse
+        ds = datagen.load_dataset(small_data[1])
+        ds.entries[1].samples[...] = 0.0
+        ds.entries[1].s[...] = 0.0
+        datagen.save_dataset(ds, tmp_path / "zero")
+        out = tmp_path / "x.json"
+        code = main(["baseline", "--method", method, "--data", str(tmp_path / "zero"),
+                     "--out", str(out)])
+        assert code == 4
+        assert "sample 1: matrix is not positive definite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDiagnose:
-    def test_trace_rows_and_audit(self, tmp_path, small_data, trained):
+    def test_trace_rows_and_audit(self, tmp_path, small_data, trained,
+                                  monkeypatch):
         _, test = small_data
         out = tmp_path / "diag"
+        # 4 does not divide a sample's 6 updates: its spectra take two stacks
+        monkeypatch.setattr(training, "EVAL_CHUNK", 4)
         code = main(["diagnose", "--checkpoint",
                      str(trained / "checkpoint.json"), "--data", str(test),
                      "--out", str(out)])
         assert code == 0
-        lines = (out / "trace.csv").read_text().strip().splitlines()
-        assert len(lines) == 1 + 3 * 6  # header + samples * K * p
+        with (out / "trace.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["sample_id", "layer", "update", "pivot",
+                           "min_eig", "max_diag", "cond"]
+        # each row is the spectrum of its update's snapshot, bit for bit
+        params, layer_cfg = models.load_checkpoint(trained / "checkpoint.json")
+        expected = []
+        for idx, entry in enumerate(datagen.load_dataset(test).entries):
+            events = []
+            models.forward(entry.s, params, layer_cfg, hook=events.append)
+            for ev in events:
+                lo, _, cond = linalg.eig_diagnostics(ev.theta_after)
+                expected.append([str(idx), str(ev.layer), str(ev.i), str(ev.i),
+                                 repr(float(lo)),
+                                 repr(float(np.diag(ev.theta_after).max())),
+                                 repr(float(cond))])
+        assert len(expected) == 3 * 6  # samples * K * p
+        assert rows[1:] == expected
         report = json.loads((out / "bauer_fike.json").read_text())
         assert report["violations"] == 0
         assert report["updates_checked"] == 3 * 6

@@ -107,6 +107,9 @@ class TestGenConfig:
             GenConfig(p=5, n=0, num=1, alpha=0.5)
         with pytest.raises(ValueError):
             GenConfig(p=5, n=10, num=1, alpha=0.5, diag_boost=-0.1)
+        for boost in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="diag_boost"):
+                GenConfig(p=5, n=10, num=1, alpha=0.5, diag_boost=boost)
 
 
 class TestDataset:

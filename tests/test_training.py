@@ -8,8 +8,8 @@ from spodnet import core, datagen, models, training
 from spodnet.autodiff import Tape, Tensor
 from spodnet.core import LayerConfig
 from spodnet.training import (AdamState, MetricsRow, TrainConfig, adam_step,
-                              evaluate, f1_support, mse_loss, nmse,
-                              offdiag_density, spectral_trace, train)
+                              evaluate, mse_loss, offdiag_density, score_stack,
+                              train)
 
 
 def _dataset(p=10, n=50, num=8, alpha=0.9, seed=42):
@@ -77,41 +77,63 @@ class TestAdam:
             TrainConfig(epochs=-1)
 
 
+def _score(pred, truth) -> dict:
+    """:func:`score_stack` of one matrix, as floats."""
+    return {key: float(v[0]) for key, v in score_stack([pred], [truth]).items()}
+
+
+def _sym(a):
+    return a + a.T
+
+
 class TestNmse:
     def test_perfect_predictions(self):
         t = np.eye(3)
-        assert nmse([t], [t]) == 0.0
+        assert _score(t, t)["nmse"] == 0.0
 
     def test_zero_prediction_is_one(self):
         t = np.array([[2.0, 1.0], [1.0, 3.0]])
-        assert nmse([np.zeros((2, 2))], [t]) == 1.0
+        assert _score(np.zeros((2, 2)), t)["nmse"] == 1.0
 
     def test_doubled_truth_is_one(self):
         t = np.array([[2.0, 1.0], [1.0, 3.0]])
-        assert nmse([2.0 * t], [t]) == pytest.approx(1.0)
+        assert _score(2.0 * t, t)["nmse"] == pytest.approx(1.0)
 
     def test_zero_norm_truth_rejected(self):
-        with pytest.raises(ValueError):
-            nmse([np.eye(2)], [np.zeros((2, 2))])
+        truths = np.stack([np.eye(2), np.zeros((2, 2))])
+        with pytest.raises(ValueError, match="zero-norm truth"):
+            score_stack(np.stack([np.eye(2)] * 2), truths)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            score_stack([np.eye(2)], [np.eye(3)])
+        with pytest.raises(ValueError, match="shape mismatch"):
+            score_stack([np.eye(2)] * 2, [np.eye(2)])
+
+    def test_empty_stack_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            score_stack([], [])
+        with pytest.raises(ValueError, match="non-empty"):
+            score_stack(np.eye(2), np.eye(2))
 
     def test_orthogonal_conjugation_invariance(self):
         rng = np.random.default_rng(0)
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        pred = rng.standard_normal((6, 6))
-        truth = rng.standard_normal((6, 6)) + 3 * np.eye(6)
-        a = nmse([pred], [truth])
-        b = nmse([q @ pred @ q.T], [q @ truth @ q.T])
+        pred = _sym(rng.standard_normal((6, 6)))
+        truth = _sym(rng.standard_normal((6, 6))) + 6 * np.eye(6)
+        a = _score(pred, truth)["nmse"]
+        b = _score(q @ pred @ q.T, q @ truth @ q.T)["nmse"]
         assert abs(a - b) <= 1e-10
 
 
 class TestF1Support:
     def test_identical_supports(self):
         t = np.array([[1.0, 0.5], [0.5, 1.0]])
-        assert f1_support(t, t) == 1.0
+        assert _score(t, t)["f1"] == 1.0
 
     def test_empty_prediction_on_nonempty_truth(self):
         truth = np.array([[1.0, 0.5], [0.5, 1.0]])
-        assert f1_support(np.eye(2), truth) == 0.0
+        assert _score(np.eye(2), truth)["f1"] == 0.0
 
     def test_confusion_matrix_arithmetic(self):
         truth = np.zeros((3, 3))
@@ -120,31 +142,58 @@ class TestF1Support:
         pred = truth.copy()
         pred[0, 2] = pred[2, 0] = 0.5
         # precision 1/2, recall 1 -> F1 = 2/3
-        assert f1_support(pred, truth) == pytest.approx(2.0 / 3.0)
+        assert _score(pred, truth)["f1"] == pytest.approx(2.0 / 3.0)
 
     def test_both_supports_empty(self):
-        assert f1_support(np.eye(4), np.eye(4)) == 1.0
+        # an empty pair scores 1 also next to a non-empty one in the stack
+        full = np.ones((4, 4)) + np.eye(4)
+        got = score_stack(np.stack([np.eye(4), full]), np.stack([np.eye(4), np.eye(4)]))
+        assert got["f1"].tolist() == [1.0, 0.0]
 
     def test_transpose_invariance(self):
         rng = np.random.default_rng(1)
-        pred = rng.standard_normal((5, 5))
-        truth = np.where(rng.random((5, 5)) < 0.5, 0.0, 1.0)
-        truth = np.triu(truth) + np.triu(truth, 1).T
-        assert f1_support(pred, truth) == f1_support(pred.T, truth.T)
+        # the estimate passes the eigensolve's 1e-12 relative symmetry check,
+        # yet its support is not symmetric: entries straddle ZERO_TOL
+        pred = 1e5 * np.eye(5)
+        upper = np.triu(rng.random((5, 5)) < 0.5, 1)
+        pred[upper] = 2e-8
+        pred[upper.T] = 5e-9
+        truth = np.where(rng.random((5, 5)) < 0.5, 0.0, 1.0) + np.eye(5)
+        assert (pred.T != pred).any() and (truth.T != truth).any()
+        assert _score(pred, truth)["f1"] == _score(pred.T, truth.T)["f1"]
 
     def test_zero_tol_counts_exact_zeros(self):
         truth = np.eye(3)
         pred = np.eye(3)
         pred[0, 1] = pred[1, 0] = 1e-9  # below tolerance: treated as zero
-        assert f1_support(pred, truth) == 1.0
+        assert _score(pred, truth)["f1"] == 1.0
+        assert _score(pred, truth)["density"] == 0.0
 
 
 class TestDensity:
     def test_diagonal_matrix_has_zero_density(self):
         assert offdiag_density(np.diag([1.0, 2.0, 3.0])) == 0.0
+        assert _score(np.diag([1.0, 2.0, 3.0]), np.ones((3, 3)))["density"] == 0.0
 
     def test_full_matrix(self):
         assert offdiag_density(np.ones((3, 3))) == 1.0
+        stack = np.stack([np.eye(3), np.ones((3, 3)), np.eye(3)])
+        stack[2, 0, 1] = stack[2, 1, 0] = 1.0
+        assert offdiag_density(stack).tolist() == [0.0, 1.0, 1.0 / 3.0]
+
+
+def test_scoring_a_stack_equals_scoring_each_matrix_alone():
+    rng = np.random.default_rng(3)
+    for p, b in ((6, 1), (13, 7), (40, 12)):
+        a = rng.standard_normal((b, p, p))
+        est = a @ a.mT / p + 0.1 * np.eye(p)
+        est[np.abs(est) < 0.05] = 0.0
+        truth = np.where(rng.random((b, p, p)) < 0.8, 0.0, 1.0) + p * np.eye(p)
+        stacked = score_stack(est, truth)
+        for j in range(b):
+            alone = score_stack(est[j:j + 1], truth[j:j + 1])
+            for key, values in stacked.items():
+                assert values[j].tobytes() == alone[key][0].tobytes(), (p, j, key)
 
 
 class TestTrain:
@@ -249,6 +298,15 @@ class TestEvaluate:
         with pytest.raises(core.SpdViolation, match="^sample 1: layer 0: "):
             evaluate(params, entries, LayerConfig())
 
+    def test_scoring_needs_one_estimate_per_entry(self, monkeypatch):
+        # fewer estimates than entries, a whole number of chunks of them
+        ds = _dataset(num=4)
+        monkeypatch.setattr(training, "EVAL_CHUNK", 2)
+        truths = [e.theta_true for e in ds.entries]
+        for estimates in (truths[:2], truths + truths[:1], []):
+            with pytest.raises(ValueError, match="one estimate per entry"):
+                training.score_estimates(ds.entries, estimates)
+
     def test_schema_and_spd_flags(self):
         ds = _dataset(num=3)
         params = models.init_params("ubg", 10, seed=0)
@@ -264,9 +322,10 @@ class TestEvaluate:
 
 class TestSpectralTrace:
     def test_identity_updates_trace(self):
-        snapshots = [np.eye(4)] * 5
-        rows = spectral_trace(snapshots)
-        assert rows == [(i, 1.0, 1.0, 1.0) for i in range(5)]
+        snapshots = np.stack([np.eye(4)] * 5)
+        got = score_stack(snapshots, snapshots)
+        assert got["min_eig"].tolist() == [1.0] * 5
+        assert got["cond"].tolist() == [1.0] * 5
 
     def test_collects_one_event_per_update(self):
         ds = _dataset(num=1)
@@ -275,8 +334,10 @@ class TestSpectralTrace:
         models.forward(ds.entries[0].s, params, LayerConfig(num_layers=2),
                        hook=events.append)
         assert len(events) == 2 * 10
-        rows = spectral_trace([ev.theta_after for ev in events])
-        assert all(row[1] > 0.0 for row in rows)
+        got = score_stack([ev.theta_after for ev in events],
+                          [ds.entries[0].theta_true] * len(events))
+        assert (got["min_eig"] > 0.0).all()
+        assert (got["cond"] >= 1.0).all()
 
 
 def test_metrics_csv_round_trip(tmp_path):
