@@ -2,9 +2,9 @@
 
 A deliberately small engine: it provides exactly the primitives the
 models compose, namely ``add``, ``sub``, ``mul``, ``scale``,
-``quadratic_form``, ``soft_threshold``, ``concat_scalars`` and
-``Tensor.sum``. Larger maps (each MLP call, the stabilizer, the block
-identities) are single ops built with ``apply_op``: a numpy forward plus a
+``quadratic_form``, ``soft_threshold`` and ``Tensor.sum``. Larger maps
+(each MLP call, the gradient step, the stabilizer, the block identities)
+are single ops built with ``apply_op``: a numpy forward plus a
 hand-written adjoint.
 
 All data is float64. Every op is written over leading axes, so a stack of
@@ -35,7 +35,6 @@ __all__ = [
     "add",
     "apply_op",
     "backward",
-    "concat_scalars",
     "constant",
     "finite_diff_check",
     "mul",
@@ -334,23 +333,6 @@ def soft_threshold(x: Tensor, gamma) -> Tensor:
         return (_reduce_to(live, xshape), _reduce_to(-sgn * live, gshape))
 
     return apply_op(sgn * np.maximum(np.abs(xd) - gd, 0.0), (x, gamma), vjp)
-
-
-def concat_scalars(parts: Sequence[Tensor]) -> Tensor:
-    """Stack n per-sample scalars of one shape ``(...)`` on a new last axis,
-    shape ``(..., n)``, routing adjoints entrywise."""
-    parts = tuple(parts)
-    shape = parts[0].data.shape
-    if any(t.data.shape != shape for t in parts):
-        raise ShapeError("concat_scalars expects tensors of one shape, got "
-                         f"{[t.data.shape for t in parts]}")
-
-    n = len(parts)
-
-    def vjp(g):
-        return tuple(g[..., j] for j in range(n))
-
-    return apply_op(np.stack([t.data for t in parts], axis=-1), parts, vjp)
 
 
 def finite_diff_check(loss_fn: Callable[[], Tensor], params: Sequence[Tensor],

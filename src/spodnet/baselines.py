@@ -27,6 +27,7 @@ from . import core, linalg
 
 __all__ = [
     "GlassoConfig",
+    "NonPositiveDiagonal",
     "block_gista_step",
     "default_lambda_grid",
     "empirical_covariance",
@@ -41,6 +42,11 @@ __all__ = [
 ]
 
 _MAX_BACKTRACKS = 60
+
+
+class NonPositiveDiagonal(ValueError):
+    """A covariance handed to the solver has a diagonal entry <= 0, so the
+    pivot margin 1/S_ii of its column updates does not exist."""
 
 
 @dataclass(frozen=True)
@@ -144,7 +150,7 @@ def glasso_solve(s, cfg: GlassoConfig, objective_trace: list | None = None
     sd = linalg.as_sym_matrix(s)
     p = sd.shape[0]
     if np.any(np.diag(sd) <= 0.0):
-        raise ValueError("covariance diagonal must be strictly positive")
+        raise NonPositiveDiagonal("covariance diagonal must be strictly positive")
     start = core.initial_state(sd)
     theta, w = start.theta.data, start.w.data
     obj = glasso_objective(theta, sd, cfg.lam)

@@ -179,7 +179,7 @@ def cmd_baseline(args) -> int:
     for idx, entry in enumerate(ds.entries):
         try:
             estimates.append(one(entry))
-        except linalg.NotPositiveDefinite as exc:
+        except (linalg.NotPositiveDefinite, baselines.NonPositiveDiagonal) as exc:
             raise core.SpdViolation(f"sample {idx}: {exc}", sample=idx) from exc
     report = training.score_estimates(ds.entries, estimates)
     _write_report(out, report, method)
@@ -221,8 +221,8 @@ def cmd_diagnose(args) -> int:
                     np.stack([ev.theta_after for ev in chunk]))
                 for ev, lo, cond in zip(chunk, lows.tolist(), conds.tolist()):
                     max_diag = float(np.diag(ev.theta_after).max())
-                    writer.writerow((idx, ev.layer, ev.i, ev.i, repr(lo),
-                                     repr(max_diag), repr(cond)))
+                    writer.writerow((idx, ev.layer, ev.layer * params.p + ev.i, ev.i,
+                                     repr(lo), repr(max_diag), repr(cond)))
                     lam_hi, lam_lo = core.rank2_delta_eigs(ev.col_diff,
                                                            ev.diag_diff)
                     ok, excess = core.bauer_fike_check(

@@ -15,7 +15,9 @@ zeros, and all can rescale the pre-threshold vector so that its quadratic
 form under the reduced-block inverse equals the configured ``zeta``. The
 margin network ``g`` reads the pivot diagonal, the matching covariance
 diagonal and the updated Schur quadratic form, and is kept strictly
-positive by an absolute-value output plus a tiny floor.
+positive by an absolute-value output plus a tiny floor, ``G_FLOOR``. The
+floor is a field of the g net's :class:`MlpSpec`, fixed by
+:func:`init_params`, so the net's one tape op adds it.
 """
 
 from __future__ import annotations
@@ -62,13 +64,16 @@ _LAMBDA_SCALE = {"ubg": 1.0, "pnp": 0.1, "e2e": 0.1}
 class MlpSpec:
     widths: tuple[int, ...]
     out_activation: str = "identity"  # "identity" or "abs"
+    floor: float = 0.0  # added after the output activation
 
 
 class Mlp:
     """Fully connected ReLU network, applied as one tape op per call.
 
-    Inputs are ``(..., fan_in)``: each sample of a leading batch axis runs
-    through the same weights, and the adjoint sums the weight and bias
+    The input is one tensor ``(..., fan_in)``, or ``fan_in`` per-sample
+    scalars of one shape ``(...)``, which the op stacks as the features and
+    whose adjoints it splits back out. Each sample of a leading batch axis
+    runs through the same weights, and the adjoint sums the weight and bias
     gradients over the batch. The numpy forward keeps every layer's input
     and the output pre-activation; the hand-written adjoint runs back
     through the ``abs`` head's sign and the ReLU masks, both of which pass
@@ -85,10 +90,17 @@ class Mlp:
                                                          size=(fan_out, fan_in))))
             self.biases.append(ad.parameter(np.zeros(fan_out)))
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, *xs: Tensor) -> Tensor:
+        if len(xs) == 1:
+            x = xs[0].data
+        elif len({t.data.shape for t in xs}) == 1:
+            x = np.stack([t.data for t in xs], axis=-1)
+        else:
+            raise ad.ShapeError("Mlp expects per-sample scalars of one shape, "
+                                f"got {[t.data.shape for t in xs]}")
         ws = [w.data for w in self.weights]
         abs_head = self.spec.out_activation == "abs"
-        inputs, pre = [x.data], None
+        inputs, pre = [x], None
         for w, b in zip(ws, self.biases):
             if pre is not None:
                 inputs.append(np.maximum(pre, 0.0))
@@ -107,10 +119,13 @@ class Mlp:
                 if k:
                     # a hidden input is positive exactly where its ReLU passes
                     g = g * (inputs[k] > 0.0)
-            return (g, *dparams)
+            dxs = (g,) if len(xs) == 1 else tuple(g[..., j] for j in range(len(xs)))
+            return (*dxs, *dparams)
 
         out = np.abs(pre) if abs_head else pre
-        return ad.apply_op(out, (x, *self.tensors()), vjp)
+        if self.spec.floor:
+            out = out + self.spec.floor
+        return ad.apply_op(out, (*xs, *self.tensors()), vjp)
 
     def tensors(self) -> list[Tensor]:
         out = []
@@ -146,7 +161,7 @@ def _net_specs(variant: str, p: int) -> dict[str, MlpSpec]:
     specs = {
         "gamma": MlpSpec((k, p // 2, 1), "abs"),
         "lambda": MlpSpec((k, 5, k), "abs"),
-        "g": MlpSpec((3, 3, 3, 1), "abs"),
+        "g": MlpSpec((3, 3, 3, 1), "abs", G_FLOOR),
     }
     if variant == "pnp":
         specs["psi"] = MlpSpec((k, 2 * p, k))
@@ -172,9 +187,22 @@ def init_params(variant: str, p: int, seed: int) -> ModelParams:
 
 
 def _grad_step(ctx: core.ColumnContext, params: ModelParams) -> Tensor:
-    """theta12 - gamma * (s12 - w12) with a learned non-negative step size."""
+    """theta12 - gamma * (s12 - w12) with a learned non-negative step size
+    ``(..., 1)``, as one tape op. Its adjoints round as those of the
+    composed ``sub(theta12, mul(gamma, sub(s12, w12)))`` do."""
     gamma = params.nets["gamma"](ctx.theta12)
-    return ad.sub(ctx.theta12, ad.mul(gamma, ad.sub(ctx.s12, ctx.w12)))
+    gd = gamma.data
+    diff = ctx.s12.data - ctx.w12.data
+    need_diff = ctx.s12.requires_grad or ctx.w12.requires_grad
+
+    def vjp(g):
+        dprod = -g
+        ddiff = dprod * gd if need_diff else None
+        return (g, (dprod * diff).sum(axis=-1, keepdims=True), ddiff,
+                None if ddiff is None else -ddiff)
+
+    return ad.apply_op(ctx.theta12.data - gd * diff,
+                       (ctx.theta12, gamma, ctx.s12, ctx.w12), vjp)
 
 
 def _maybe_stabilize(z: Tensor, ctx: core.ColumnContext) -> Tensor:
@@ -211,13 +239,13 @@ def f_e2e(ctx: core.ColumnContext, params: ModelParams) -> Tensor:
 
 def g_eval(theta22: Tensor, s22: Tensor, schur_quad: Tensor,
            params: ModelParams) -> Tensor:
-    """Strictly positive margin from the pivot features.
+    """Strictly positive margin from the pivot features, shape ``(..., 1)``.
 
-    The absolute-value output can land exactly on zero, so a floor of
-    ``G_FLOOR`` keeps the margin in the open cone.
+    The absolute-value output can land exactly on zero, so the g net adds
+    a floor of ``G_FLOOR`` inside its op, keeping the margin in the open
+    cone.
     """
-    feats = ad.concat_scalars((theta22, s22, schur_quad))
-    return ad.add(params.nets["g"](feats), ad.constant([G_FLOOR]))
+    return params.nets["g"](theta22, s22, schur_quad)
 
 
 _F_BY_VARIANT = {"ubg": f_ubg, "pnp": f_pnp, "e2e": f_e2e}

@@ -12,7 +12,6 @@ per-epoch metrics of :func:`train` read their figures from it.
 from __future__ import annotations
 
 import csv
-import gc
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -212,12 +211,6 @@ def train(params: models.ModelParams, train_entries, test_entries,
     rng = datagen.make_rng(datagen.child_seed(cfg.seed, 0))
     history: list[MetricsRow] = []
     for epoch in range(cfg.epochs):
-        # A minibatch tape frees thousands of small objects at once, which
-        # stay on the interpreter's free lists; with one tape per minibatch
-        # the collector's full passes, which empty those lists, rarely run.
-        # One per epoch (about 20 ms) kept a process that trains again and
-        # again about 1 MB smaller at its peak.
-        gc.collect()
         order = rng.permutation(len(train_entries))
         mse_sum = 0.0
         for start in range(0, len(order), cfg.batch_size):

@@ -196,15 +196,6 @@ class TestPrimitiveGradients:
         err = ad.finite_diff_check(lambda: ad.soft_threshold(x, g).sum(), [x, g])
         assert err <= self.TOL
 
-    def test_concat_scalars(self):
-        a = ad.parameter(1.5)
-        b = ad.parameter(-0.5)
-        c = ad.parameter(2.0)
-        err = ad.finite_diff_check(
-            lambda: ad.mul(ad.concat_scalars((a, b, c)),
-                           ad.concat_scalars((a, b, c))).sum(), [a, b, c])
-        assert err <= self.TOL
-
 
 def test_tensor_shape_and_item():
     t = Tensor([[1.0, 2.0]])
@@ -269,15 +260,6 @@ class TestBatchAxis:
         for gshape in ((3, 4), (3, 1)):
             g = ad.parameter(np.abs(rng.standard_normal(gshape)))
             self._check(ad.soft_threshold, [x, g], 38)
-
-    def test_concat_scalars_stacks_on_last_axis(self):
-        rng = np.random.default_rng(39)
-        parts = [ad.parameter(rng.standard_normal(3)) for _ in range(3)]
-        out = ad.concat_scalars(parts)
-        assert np.array_equal(out.data, np.stack([t.data for t in parts], axis=-1))
-        self._check(lambda *ps: ad.concat_scalars(ps), parts, 40)
-        with pytest.raises(ShapeError):
-            ad.concat_scalars((ad.constant(np.ones(3)), ad.constant(1.0)))
 
     def test_scale_and_sum(self):
         rng = np.random.default_rng(41)

@@ -354,20 +354,38 @@ class TestBaseline:
                      "--out", str(tmp_path / "oas.json")])
         assert code == 0
 
-    @pytest.mark.parametrize("method", ["lw", "oas"])
-    def test_all_zero_samples_exit_4_naming_the_sample(self, tmp_path, small_data,
-                                                       method, capsys):
-        # finite, and S + I = I is PD, so the dataset loads; its shrunk
-        # covariance is 0, which has no inverse
+    @pytest.fixture
+    def zero_data(self, tmp_path, small_data):
+        """The p=6 test set with entry 1's samples and S zeroed: finite, and
+        S + I = I is PD, so the dataset loads."""
         ds = datagen.load_dataset(small_data[1])
         ds.entries[1].samples[...] = 0.0
         ds.entries[1].s[...] = 0.0
         datagen.save_dataset(ds, tmp_path / "zero")
+        return tmp_path / "zero"
+
+    @pytest.mark.parametrize("method", ["lw", "oas"])
+    def test_all_zero_samples_exit_4_naming_the_sample(self, tmp_path, zero_data,
+                                                       method, capsys):
+        # the shrunk covariance is 0, which has no inverse
         out = tmp_path / "x.json"
-        code = main(["baseline", "--method", method, "--data", str(tmp_path / "zero"),
+        code = main(["baseline", "--method", method, "--data", str(zero_data),
                      "--out", str(out)])
         assert code == 4
         assert "sample 1: matrix is not positive definite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["glasso", "glasso-cv"])
+    def test_glasso_on_all_zero_sample_exits_4_naming_it(self, tmp_path, zero_data,
+                                                         method, capsys):
+        # S (or each fold's S) has a zero diagonal, which the solver rejects
+        out = tmp_path / "x.json"
+        code = main(["baseline", "--method", method, "--data", str(zero_data),
+                     "--folds", "3", "--grid-size", "2", "--max-sweeps", "5",
+                     "--out", str(out)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "sample 1: covariance diagonal must be strictly positive" in err
         assert not out.exists()
 
 
@@ -403,6 +421,23 @@ class TestDiagnose:
         report = json.loads((out / "bauer_fike.json").read_text())
         assert report["violations"] == 0
         assert report["updates_checked"] == 3 * 6
+
+    def test_update_counts_across_layers(self, tmp_path, small_data, trained):
+        _, test = small_data
+        doc = json.loads((trained / "checkpoint.json").read_text())
+        doc["num_layers"] = 2
+        ckpt = tmp_path / "two_layers.json"
+        ckpt.write_text(json.dumps(doc))
+        out = tmp_path / "diag2"
+        code = main(["diagnose", "--checkpoint", str(ckpt), "--data", str(test),
+                     "--limit", "1", "--out", str(out)])
+        assert code == 0
+        with (out / "trace.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        p = 6
+        assert [int(r["layer"]) for r in rows] == [0] * p + [1] * p
+        assert [int(r["update"]) for r in rows] == list(range(2 * p))
+        assert [int(r["pivot"]) for r in rows] == list(range(p)) * 2
 
     def test_zeta_zero_rejected(self, tmp_path, small_data, trained):
         _, test = small_data

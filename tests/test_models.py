@@ -1,5 +1,7 @@
 """Update-map variants, margin network, initialization, checkpoints."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,175 @@ class TestMlpOp:
         inputs = [x, *net.tensors()]
         err = ad.finite_diff_check(lambda: ad.mul(net(x), cot).sum(), inputs)
         assert err <= 1e-7
+
+
+class TestMlpScalarInputs:
+    """Several per-sample scalars are stacked as the features inside the op,
+    and their adjoints split back out."""
+
+    def _net(self):
+        rng = np.random.default_rng(9)
+        net = models.Mlp(models.MlpSpec((3, 4, 2), "abs"), rng)
+        for b in net.biases:  # keep every pre-activation off the kinks
+            b.data[...] = rng.standard_normal(b.data.shape)
+        return net, rng
+
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_equals_the_stacked_call(self, batch):
+        net, rng = self._net()
+        parts = [ad.parameter(rng.standard_normal(batch)) for _ in range(3)]
+        out = net(*parts).data
+        assert np.array_equal(out, net(Tensor(np.stack([t.data for t in parts], -1))).data)
+        cot = Tensor(rng.standard_normal(out.shape))
+        err = ad.finite_diff_check(lambda: ad.mul(net(*parts), cot).sum(),
+                                   [*parts, *net.tensors()])
+        assert err <= 1e-7
+
+    def test_mismatched_shapes_rejected(self):
+        net, _ = self._net()
+        with pytest.raises(ad.ShapeError):
+            net(Tensor(np.ones(3)), Tensor(1.0), Tensor(2.0))
+
+
+def _stack_scalars(parts):
+    # per-sample scalars stacked on a new last axis, one tape op
+    n = len(parts)
+    return ad.apply_op(np.stack([t.data for t in parts], axis=-1), parts,
+                       lambda g: tuple(g[..., j] for j in range(n)))
+
+
+def _composed_grad_step(ctx, params):
+    gamma = params.nets["gamma"](ctx.theta12)
+    return ad.sub(ctx.theta12, ad.mul(gamma, ad.sub(ctx.s12, ctx.w12)))
+
+
+def _composed_g_eval(theta22, s22, schur_quad, params):
+    # the same weights without the floor, the features stacked by one op and
+    # the floor added by another
+    net = params.nets["g"]
+    bare = models.Mlp(replace(net.spec, floor=0.0), np.random.default_rng(0))
+    bare.weights, bare.biases = net.weights, net.biases
+    return ad.add(bare(_stack_scalars((theta22, s22, schur_quad))),
+                  ad.constant([models.G_FLOOR]))
+
+
+def _run(build, leaves, cot):
+    """The output, each leaf's gradient under the cotangent ``cot`` and the
+    number of tape nodes ``build`` records."""
+    ad.zero_grad(leaves)
+    with ad.Tape() as tape:
+        out = build()
+        nodes = len(tape.nodes)
+        ad.backward(ad.mul(out, Tensor(cot)).sum())
+    return out.data, [t.grad for t in leaves], nodes
+
+
+def _assert_bit_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a is None and b is None) or np.array_equal(a, b)
+
+
+class TestFusedOps:
+    """The gradient step and the g net's call are one tape op each, with the
+    forward and every adjoint of the primitives they replace, bit for bit."""
+
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    @pytest.mark.parametrize("mode", ["detached", "full"])
+    def test_grad_step(self, mode, batch):
+        rng = np.random.default_rng(11)
+        params = init_params("ubg", 6, seed=1)
+        k = 5
+
+        def vec(leaf):
+            data = rng.standard_normal(batch + (k,))
+            return ad.parameter(data) if leaf else Tensor(data)
+
+        # the full tape differentiates through the inverse, and so w12
+        theta12, s12, w12 = vec(True), vec(False), vec(mode == "full")
+        ctx = ColumnContext(i=k, theta12=theta12, theta22=Tensor(np.ones(batch)),
+                            s12=s12, s22=Tensor(np.ones(batch)), w12=w12,
+                            theta11_inv=Tensor(np.eye(k)), zeta=1.0, stabilize=False)
+        leaves = [theta12, *params.nets["gamma"].tensors()]
+        if w12.requires_grad:
+            leaves.append(w12)
+        cot = rng.standard_normal(batch + (k,))
+        out, grads, nodes = _run(lambda: models._grad_step(ctx, params), leaves, cot)
+        ref_out, ref_grads, ref_nodes = _run(lambda: _composed_grad_step(ctx, params),
+                                             leaves, cot)
+        assert np.array_equal(out, ref_out)
+        _assert_bit_equal(grads, ref_grads)
+        assert (nodes, ref_nodes) == (2, 4 if mode == "full" else 3)
+        err = ad.finite_diff_check(
+            lambda: ad.mul(models._grad_step(ctx, params), Tensor(cot)).sum(), leaves)
+        assert err <= 1e-7
+
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    @pytest.mark.parametrize("s22_leaf", [False, True])
+    def test_g_net(self, batch, s22_leaf):
+        rng = np.random.default_rng(12)
+        params = init_params("ubg", 6, seed=1)
+        for b in params.nets["g"].biases:  # keep every pre-activation off the kinks
+            b.data[...] = rng.standard_normal(b.data.shape)
+        theta22 = ad.parameter(rng.uniform(0.5, 2.0, batch))
+        s22 = Tensor(rng.uniform(0.5, 2.0, batch), requires_grad=s22_leaf)
+        quad = ad.parameter(rng.uniform(0.0, 1.0, batch))
+        leaves = [theta22, quad, *params.nets["g"].tensors()]
+        if s22_leaf:
+            leaves.append(s22)
+        cot = rng.standard_normal(batch + (1,))
+        out, grads, nodes = _run(lambda: g_eval(theta22, s22, quad, params), leaves, cot)
+        ref_out, ref_grads, ref_nodes = _run(
+            lambda: _composed_g_eval(theta22, s22, quad, params), leaves, cot)
+        assert np.array_equal(out, ref_out)
+        _assert_bit_equal(grads, ref_grads)
+        assert (nodes, ref_nodes) == (1, 3)
+        err = ad.finite_diff_check(
+            lambda: ad.mul(g_eval(theta22, s22, quad, params), Tensor(cot)).sum(), leaves)
+        assert err <= 1e-7
+
+    # healthy inits: the margin net starts off its floor on these samples
+    @pytest.mark.parametrize("variant,seed", [("ubg", 2), ("pnp", 3)])
+    @pytest.mark.parametrize("mode", ["detached", "full"])
+    def test_minibatch_matches_composition(self, variant, seed, mode, monkeypatch):
+        from spodnet.training import mse_loss
+        entries = TestBatchEquivalence._entries()
+        s = np.stack([e[0] for e in entries])
+        truth = np.stack([e[1] for e in entries])
+        params = init_params(variant, 8, seed)
+        tensors = params.tensors()
+        cfg = LayerConfig(num_layers=2, tape_mode=mode)
+
+        def run():
+            ad.zero_grad(tensors)
+            with ad.Tape():
+                out = models.forward(s, params, cfg)
+                ad.backward(mse_loss(out.theta, truth))
+            return [out.theta.data, out.w.data] + [t.grad for t in tensors]
+
+        fused = run()
+        monkeypatch.setattr(models, "_grad_step", _composed_grad_step)
+        monkeypatch.setattr(models, "g_eval", _composed_g_eval)
+        _assert_bit_equal(fused, run())
+
+    # per pivot: theta12, theta22, the gamma net, the step, the lambda net,
+    # the stabilizer, the threshold, u' inv(Theta_11) u, the g net and the
+    # updated Theta; theta starts as a constant, so pivot 0 records neither
+    # read. The full tape adds the inverse's three ops from pivot 1 on (its
+    # start is a constant too), W's update at pivot 0 and the boundary
+    # inverse. The loss adds sub, mul, sum and the 1/B scale.
+    @pytest.mark.parametrize("mode,nodes", [("detached", 8 + 5 * 10 + 4),
+                                            ("full", 9 + 5 * 13 + 1 + 4)])
+    def test_tape_nodes_of_a_ubg_minibatch(self, mode, nodes):
+        from spodnet.training import mse_loss
+        rng = datagen.make_rng(21)
+        truth = np.stack([datagen.make_sparse_spd(6, 0.9, 0.1, rng) for _ in range(3)])
+        s = np.stack([datagen.sample_covariance(t, 50, rng)[0] for t in truth])
+        params = init_params("ubg", 6, seed=2)
+        with ad.Tape() as tape:
+            out = models.forward(s, params, LayerConfig(tape_mode=mode))
+            ad.backward(ad.scale(mse_loss(out.theta, truth), 1.0 / 3))
+        assert len(tape.nodes) == nodes
 
 
 class TestArchitectures:
