@@ -12,6 +12,15 @@ objective never increases across accepted steps. The inverse is maintained
 through the same O(p^2) block identities as the update layer and refreshed
 densely once per sweep.
 
+The column loop is written to cut interpreter round trips: each pivot's
+constants are built once per solve, the products use ``ndarray.dot`` and
+the no-move test is one exact comparison. It must keep the iterates,
+objective trace and step count of the plain per-block loop bit for bit
+(``tests/test_baselines.py`` holds that loop as a reference). It calls
+``block_gista_step``, ``glasso_objective`` and core's numpy block helpers
+through their module attributes, so a tracer that patches those attributes
+sees every call.
+
 Ledoit-Wolf and OAS are the classical shrinkage estimators toward mu*I,
 inverted to give precisions. All estimators assume centered samples and use
 S = X'X / n.
@@ -61,7 +70,7 @@ class GlassoConfig:
     inner_steps: int = 5
 
     def __post_init__(self):
-        if self.lam < 0.0:
+        if not self.lam >= 0.0:  # NaN fails too
             raise ValueError("lam must be >= 0")
         if not self.tol > 0.0:
             raise ValueError("tol must be > 0")
@@ -99,34 +108,32 @@ def block_gista_step(theta12, s12, w12, gamma: float, lam: float) -> np.ndarray:
     return np.sign(step) * np.maximum(np.abs(step) - gamma * lam, 0.0)
 
 
-def _block_objective(x, mx, s12, s22: float, lam: float) -> float:
+def _block_objective(x, mx, s12, s22: float, lam2: float) -> float:
     # block restriction of the objective with the pivot diagonal pinned
-    # to its coordinate minimizer; constants dropped
-    return (2.0 * float(s12 @ x) + s22 * float(x @ mx)
-            + 2.0 * lam * float(np.abs(x).sum()))
+    # to its coordinate minimizer; constants dropped. lam2 is 2 * lam.
+    return (2.0 * float(s12.dot(x)) + s22 * float(x.dot(mx))
+            + lam2 * float(np.add.reduce(np.abs(x))))
 
 
-def _update_block(theta: np.ndarray, w: np.ndarray, sd: np.ndarray, i: int,
-                  cfg: GlassoConfig) -> tuple[np.ndarray, np.ndarray]:
-    rest = linalg.rest_indices(sd.shape[0], i)
+def _update_block(theta: np.ndarray, w: np.ndarray, pivot: tuple, lam: float,
+                  inner_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    i, flat, s12, s22, v_target = pivot  # see glasso_solve
     m = core.theta11_inverse_np(w, i)
-    s12 = sd[rest, i]
-    s22 = float(sd[i, i])
-    v_target = 1.0 / s22
-
-    x = theta[rest, i].copy()
-    mx = m @ x
-    h_cur = _block_objective(x, mx, s12, s22, cfg.lam)
-    for _ in range(cfg.inner_steps):
+    lam2 = 2.0 * lam
+    x = theta.take(flat)
+    mx = m.dot(x)
+    h_cur = _block_objective(x, mx, s12, s22, lam2)
+    for _ in range(inner_steps):
         w12 = -s22 * mx  # inverse column implied by the pinned diagonal
         gamma = 1.0
         moved = False
         for _ in range(_MAX_BACKTRACKS):
-            cand = block_gista_step(x, s12, w12, gamma, cfg.lam)
-            if np.array_equal(cand, x):
+            cand = block_gista_step(x, s12, w12, gamma, lam)
+            # exact no-move test: -0.0 equals 0.0 and NaN never equals
+            if not np.count_nonzero(cand != x):
                 break
-            mc = m @ cand
-            h_new = _block_objective(cand, mc, s12, s22, cfg.lam)
+            mc = m.dot(cand)
+            h_new = _block_objective(cand, mc, s12, s22, lam2)
             if h_new <= h_cur:
                 x, mx, h_cur = cand, mc, h_new
                 moved = True
@@ -151,6 +158,13 @@ def glasso_solve(s, cfg: GlassoConfig, objective_trace: list | None = None
     p = sd.shape[0]
     if np.any(np.diag(sd) <= 0.0):
         raise NonPositiveDiagonal("covariance diagonal must be strictly positive")
+    # per pivot i, once per solve: the C-order flat positions of column i's
+    # off-pivot entries, that column of S (contiguous), S_ii and 1/S_ii
+    pivots = []
+    for i in range(p):
+        rest = linalg.rest_indices(p, i)
+        s22 = float(sd[i, i])
+        pivots.append((i, rest * p + i, sd[rest, i], s22, 1.0 / s22))
     start = core.initial_state(sd)
     theta, w = start.theta.data, start.w.data
     obj = glasso_objective(theta, sd, cfg.lam)
@@ -158,8 +172,8 @@ def glasso_solve(s, cfg: GlassoConfig, objective_trace: list | None = None
         objective_trace.append(obj)
     for _ in range(cfg.max_sweeps):
         prev = obj
-        for i in range(p):
-            theta, w = _update_block(theta, w, sd, i, cfg)
+        for pivot in pivots:
+            theta, w = _update_block(theta, w, pivot, cfg.lam, cfg.inner_steps)
         w = linalg.spd_inverse(theta)  # bound drift of the maintained pair
         obj = glasso_objective(theta, sd, cfg.lam)
         if objective_trace is not None:
@@ -230,6 +244,8 @@ def glasso_cv(samples, lambda_grid, folds: int = 5,
     grid = sorted(float(v) for v in lambda_grid)
     if not grid:
         raise ValueError("lambda grid is empty")
+    if any(np.isnan(grid)):  # sorted() leaves a NaN wherever it was
+        raise ValueError(f"lambda grid holds NaN: {grid}")
     cfg = cfg if cfg is not None else GlassoConfig()
     scores = np.zeros(len(grid))
     for k in range(folds):

@@ -297,11 +297,22 @@ def _build_parser(file_defaults: dict | None = None) -> argparse.ArgumentParser:
                    required=True)
     b.add_argument("--data")
     b.add_argument("--out", help="output JSON path")
-    b.add_argument("--lambda", dest="lam", type=float, default=0.1)
-    b.add_argument("--folds", type=int, default=5)
-    b.add_argument("--grid-size", type=int, default=10)
-    b.add_argument("--max-sweeps", type=int, default=200)
-    b.add_argument("--tol", type=float, default=1e-8)
+    b.add_argument("--lambda", dest="lam", type=float, default=0.1,
+                   help="l1 penalty; read only by --method glasso "
+                        "(default %(default)s)")
+    b.add_argument("--folds", type=int, default=5,
+                   help="glasso-cv's cross-validation folds (default %(default)s)")
+    b.add_argument("--grid-size", type=int, default=10,
+                   help="glasso-cv picks lambda from this many log-spaced "
+                        "values over [0.01, 1] x the largest off-diagonal "
+                        "|S_ij| (default %(default)s)")
+    b.add_argument("--max-sweeps", type=int, default=200,
+                   help="glasso sweep budget per solve; this CLI default "
+                        "differs from GlassoConfig's 500 (default %(default)s)")
+    b.add_argument("--tol", type=float, default=1e-8,
+                   help="stop a solve when a sweep lowers the objective by "
+                        "less than this; this CLI default differs from "
+                        "GlassoConfig's 1e-10 (default %(default)s)")
     b.set_defaults(func=cmd_baseline)
 
     d = with_defaults(sub.add_parser("diagnose",

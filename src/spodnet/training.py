@@ -58,7 +58,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr < 0.0:
+        if not self.lr >= 0.0:  # NaN fails too
             raise ValueError("lr must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")

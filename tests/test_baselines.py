@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spodnet import baselines, datagen, linalg
+from spodnet import baselines, core, datagen, linalg
 from spodnet.baselines import (GlassoConfig, block_gista_step,
                                default_lambda_grid, empirical_covariance,
                                glasso_cv, glasso_kkt_residual,
@@ -108,6 +108,94 @@ class TestGlassoSolve:
             GlassoConfig(lam=-0.1)
         with pytest.raises(ValueError):
             GlassoConfig(tol=0.0)
+        with pytest.raises(ValueError, match="lam"):
+            GlassoConfig(lam=float("nan"))
+
+
+def _reference_block_objective(x, mx, s12, s22: float, lam: float) -> float:
+    return (2.0 * float(s12 @ x) + s22 * float(x @ mx)
+            + 2.0 * lam * float(np.abs(x).sum()))
+
+
+def _reference_update_block(theta, w, sd, i, cfg):
+    rest = linalg.rest_indices(sd.shape[0], i)
+    m = core.theta11_inverse_np(w, i)
+    s12 = sd[rest, i]
+    s22 = float(sd[i, i])
+    v_target = 1.0 / s22
+
+    x = theta[rest, i].copy()
+    mx = m @ x
+    h_cur = _reference_block_objective(x, mx, s12, s22, cfg.lam)
+    for _ in range(cfg.inner_steps):
+        w12 = -s22 * mx
+        gamma = 1.0
+        moved = False
+        for _ in range(baselines._MAX_BACKTRACKS):
+            cand = baselines.block_gista_step(x, s12, w12, gamma, cfg.lam)
+            if np.array_equal(cand, x):
+                break
+            mc = m @ cand
+            h_new = _reference_block_objective(cand, mc, s12, s22, cfg.lam)
+            if h_new <= h_cur:
+                x, mx, h_cur = cand, mc, h_new
+                moved = True
+                break
+            gamma *= 0.5
+        if not moved:
+            break
+
+    return (core.theta_plus_np(theta, i, x, v_target, m),
+            core.w_plus_np(m, x, v_target, i))
+
+
+def _reference_solve(s, cfg, objective_trace):
+    """The straightforward per-block loop ``glasso_solve`` must reproduce
+    bit for bit: fancy-index gathers, ``@`` products, ``np.array_equal``."""
+    sd = linalg.as_sym_matrix(s)
+    start = core.initial_state(sd)
+    theta, w = start.theta.data, start.w.data
+    obj = glasso_objective(theta, sd, cfg.lam)
+    objective_trace.append(obj)
+    for _ in range(cfg.max_sweeps):
+        prev = obj
+        for i in range(sd.shape[0]):
+            theta, w = _reference_update_block(theta, w, sd, i, cfg)
+        w = linalg.spd_inverse(theta)
+        obj = glasso_objective(theta, sd, cfg.lam)
+        objective_trace.append(obj)
+        if prev - obj < cfg.tol:
+            break
+    return theta
+
+
+class TestSolverMatchesReferenceLoop:
+    @pytest.mark.parametrize("p", [2, 8, 20])
+    @pytest.mark.parametrize("lam_of_top", [0.0, 0.3, 1.5],
+                             ids=["zero", "mid", "above-max"])
+    def test_bit_identical_estimate_trace_and_steps(self, monkeypatch, p,
+                                                    lam_of_top):
+        # lam above the largest |S_ij| (i != j) thresholds every column to
+        # zero, after which each block exits on its first step
+        _, s, _ = _entry(p, 3 * p, 0.8, seed=11 + p)
+        off = ~np.eye(p, dtype=bool)
+        cfg = GlassoConfig(lam=lam_of_top * np.abs(s[off]).max(),
+                           max_sweeps=200, tol=1e-8)
+        steps = []
+        step = baselines.block_gista_step
+        monkeypatch.setattr(baselines, "block_gista_step",
+                            lambda *a: steps.append(1) or step(*a))
+        ref_trace, trace = [], []
+        ref = _reference_solve(s, cfg, ref_trace)
+        ref_steps = len(steps)
+        got = glasso_solve(s, cfg, objective_trace=trace)
+        assert got.tobytes() == ref.tobytes()
+        assert np.array(trace).tobytes() == np.array(ref_trace).tobytes()
+        # the no-move test decides when a block stops taking steps
+        assert len(steps) - ref_steps == ref_steps
+        assert len(trace) >= 2
+        if lam_of_top > 1.0:
+            assert not got[off].any()
 
 
 class TestGlassoCv:
@@ -160,6 +248,13 @@ class TestGlassoCv:
         _, _, x = _entry(4, 20, 0.7, seed=10)
         with pytest.raises(ValueError):
             glasso_cv(x, lambda_grid=[], folds=2)
+
+    def test_nan_grid_value_rejected(self):
+        # unchecked, a NaN penalty runs each solve to its sweep budget, and
+        # a NaN score, which no ``<=`` comparison beats, would win the pick
+        _, _, x = _entry(4, 20, 0.7, seed=10)
+        with pytest.raises(ValueError, match="NaN"):
+            glasso_cv(x, lambda_grid=[float("nan"), 0.1, 0.5], folds=2)
 
 
 class TestLedoitWolf:

@@ -291,6 +291,15 @@ class TestSpdViolation:
 
 
 class TestBaseline:
+    def test_help_names_the_options_each_method_reads(self, capsys):
+        assert main(["baseline", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "read only by --method glasso" in text
+        assert "glasso-cv picks lambda from this many log-spaced values" in text
+        # the CLI's solver defaults are not GlassoConfig's
+        assert "GlassoConfig's 500 (default 200)" in text
+        assert "GlassoConfig's 1e-10 (default 1e-08)" in text
+
     @pytest.mark.parametrize("edit", [
         lambda m: {**m, "extra": 1},
         lambda m: {k: v for k, v in m.items() if k != "p"},

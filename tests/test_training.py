@@ -75,6 +75,8 @@ class TestAdam:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(epochs=-1)
+        with pytest.raises(ValueError, match="lr"):
+            TrainConfig(lr=float("nan"))
 
 
 def _score(pred, truth) -> dict:
