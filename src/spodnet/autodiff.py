@@ -1,11 +1,14 @@
 """Float64 tensors with tape-based reverse-mode differentiation.
 
-A deliberately small engine: it provides exactly the primitives the
-models compose, namely ``add``, ``sub``, ``mul``, ``scale``,
-``quadratic_form``, ``soft_threshold`` and ``Tensor.sum``. Larger maps
-(each MLP call, the gradient step, the stabilizer, the block identities)
-are single ops built with ``apply_op``: a numpy forward plus a
-hand-written adjoint.
+A deliberately small engine. The models compose ``sub``, ``mul``,
+``scale``, ``quadratic_form``, ``soft_threshold`` and ``Tensor.sum``.
+Larger maps (each MLP call, the gradient step, the stabilizer, the block
+identities) are single ops built with ``apply_op``: a numpy forward plus
+a hand-written adjoint. No model uses ``add``, nor the per-sample-scalar
+broadcasting of ``add``, ``sub`` and ``mul``; they are the kit of the
+tests, which compose reference versions of single ops from them (the
+model tests' ``_composed_grad_step`` and ``_composed_g_eval``) and weight
+op outputs with ``mul`` in the core tests' directional checks.
 
 All data is float64. Every op is written over leading axes, so a stack of
 independent samples with a leading batch axis runs through the same op,
@@ -13,7 +16,8 @@ as one tape node, as a single sample does: a per-sample vector has shape
 ``(..., k)``, a per-sample matrix ``(..., k, k)`` and a per-sample scalar
 ``(...)`` or ``(..., 1)``. The only broadcasting the elementwise ops allow
 is a tensor of size one against any tensor, and a per-sample scalar
-``(..., 1)`` against a per-sample vector ``(..., k)``; an adjoint sums over
+``(..., 1)`` against a per-sample vector ``(..., k)``, which the models
+use only for ``soft_threshold``'s penalty; an adjoint sums over
 the axes its operand was broadcast along. A Tape is a per-forward-pass
 object, discarded after the backward sweep; leaf gradients accumulate
 additively until cleared with ``zero_grad``. Open tapes live on one

@@ -70,10 +70,10 @@ class GlassoConfig:
     inner_steps: int = 5
 
     def __post_init__(self):
-        if not self.lam >= 0.0:  # NaN fails too
-            raise ValueError("lam must be >= 0")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be > 0")
+        if not 0.0 <= self.lam < np.inf:  # NaN fails too
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
         if self.max_sweeps < 1 or self.inner_steps < 1:
             raise ValueError("max_sweeps and inner_steps must be >= 1")
 

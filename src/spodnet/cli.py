@@ -58,6 +58,18 @@ def _require(args, name: str, flag: str):
     return value
 
 
+def _out_file(args) -> str:
+    """``--out`` for a file written after the work, checked before it: a
+    location that cannot take the file should fail at once, not after a
+    long run."""
+    out = _require(args, "out", "--out")
+    if not Path(out).parent.is_dir():
+        raise FileNotFoundError(f"--out: no directory {Path(out).parent}")
+    if Path(out).is_dir():
+        raise IsADirectoryError(f"--out: {out} is a directory")
+    return out
+
+
 def _json_dump(path, doc) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
@@ -107,9 +119,9 @@ def cmd_train(args) -> int:
     train_cfg = training.TrainConfig(lr=args.lr, batch_size=args.batch_size,
                                      epochs=args.epochs, seed=args.seed)
     params = models.init_params(args.model, train_ds.config.p, args.seed)
+    out_dir.mkdir(parents=True, exist_ok=True)
     history = training.train(params, train_ds.entries, test_ds.entries,
                              train_cfg, layer_cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
     models.save_checkpoint(out_dir / "checkpoint.json", params, layer_cfg)
     training.write_metrics_csv(out_dir / "metrics.csv", history)
     last = history[-1].test_nmse if history else float("nan")
@@ -126,7 +138,7 @@ def _load_checkpoint(args):
 
 
 def cmd_eval(args) -> int:
-    out = _require(args, "out", "--out")
+    out = _out_file(args)
     params, layer_cfg = _load_checkpoint(args)
     ds = _load_dataset(args.data, "--data")
     if ds.config.p != params.p:
@@ -138,7 +150,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    out = _require(args, "out", "--out")
+    out = _out_file(args)
     ds = _load_dataset(args.data, "--data")
     method = args.method
     needs_samples = method in ("glasso-cv", "lw", "oas")

@@ -11,12 +11,14 @@ Randomness comes from the counter-based 64-bit Philox generator. Entry
 ``j`` of a dataset uses the child key ``splitmix64(splitmix64(seed) + j)``,
 so entries are reproducible independently of generation order. Bit equality
 is promised within this implementation, not across languages.
+
+A saved dataset is a directory: ``meta.json`` plus one ``.npy`` stack per
+array kind, read back whole (see :func:`save_dataset`).
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -38,7 +40,7 @@ __all__ = [
     "save_dataset",
 ]
 
-FORMAT_TAG = "SPODNET-DS-1"
+FORMAT_TAG = "SPODNET-DS-2"
 # entries per stacked S + I check in load_dataset: one stack of all 200
 # training matrices at p=20 made (200, 20, 20) temporaries that raised a
 # training process's peak RSS by 1.6 MB; chunks of 20 leave it unchanged
@@ -145,26 +147,26 @@ def build_dataset(cfg: GenConfig) -> Dataset:
     return Dataset(config=cfg, entries=entries)
 
 
-def _blob(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
+def _stack_shapes(cfg: GenConfig) -> dict[str, tuple]:
+    """Shape of each DatasetEntry field a dataset stores, stacked."""
+    mats = {"theta_true": (cfg.num, cfg.p, cfg.p), "s": (cfg.num, cfg.p, cfg.p)}
+    return {**mats, "samples": (cfg.num, cfg.n, cfg.p)} if cfg.keep_samples else mats
 
 
 def save_dataset(ds: Dataset, path) -> None:
-    """Directory layout: meta.json plus one binary blob per entry.
-
-    Each blob stores theta_true then S as p*p little-endian float64
-    row-major values, followed by the n*p raw samples when the dataset was
-    generated with ``keep_samples``.
+    """Directory layout: meta.json plus one float64 ``.npy`` stack per
+    array kind, in entry order: ``theta_true.npy`` and ``s.npy`` of shape
+    ``(num, p, p)``, and ``samples.npy`` of shape ``(num, n, p)`` when the
+    dataset was generated with ``keep_samples``.
     """
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     meta = {"format": FORMAT_TAG, **asdict(ds.config)}
     (root / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    for j, entry in enumerate(ds.entries):
-        blob = _blob(entry.theta_true) + _blob(entry.s)
-        if ds.config.keep_samples:
-            blob += _blob(entry.samples)
-        (root / f"entry-{j:05d}.bin").write_bytes(blob)
+    (root / "samples.npy").unlink(missing_ok=True)  # left by an earlier save
+    for kind in _stack_shapes(ds.config):
+        stack = np.stack([getattr(entry, kind) for entry in ds.entries])
+        np.save(root / f"{kind}.npy", stack.astype("<f8", copy=False))
 
 
 def load_dataset(path) -> Dataset:
@@ -174,7 +176,8 @@ def load_dataset(path) -> Dataset:
         raise ValueError("meta.json is not a JSON object")
     tag = meta.pop("format", None)
     if tag != FORMAT_TAG:
-        raise ValueError(f"unrecognized dataset format tag {tag!r}")
+        raise ValueError(f"dataset format {tag!r} is not {FORMAT_TAG!r}; regenerate the "
+                         "dataset with gen-data and the arguments in its meta.json")
     for key in ("p", "n", "num"):
         if key in meta and type(meta[key]) is not int:
             raise ValueError(f"meta.json: {key} must be an integer, got {meta[key]!r}")
@@ -182,33 +185,27 @@ def load_dataset(path) -> Dataset:
         cfg = GenConfig(**meta)
     except TypeError as exc:
         raise ValueError(f"meta.json: {exc}") from None
-    p, n = cfg.p, cfg.n
-    mat_bytes = p * p * 8
-    entries = []
-    for j in range(cfg.num):
-        # os.path, not pathlib: a Path interns each file name, and the
-        # churn of interned names made a process that loads datasets
-        # repeatedly rebuild its intern table now and then, a 1-2 MB
-        # allocation on top of its peak
-        with open(os.path.join(root, f"entry-{j:05d}.bin"), "rb") as fh:
-            blob = fh.read()
-        expected = 2 * mat_bytes + (n * p * 8 if cfg.keep_samples else 0)
-        if len(blob) != expected:
-            raise ValueError(f"entry {j} has {len(blob)} bytes, expected {expected}")
-        theta = np.frombuffer(blob[:mat_bytes], dtype="<f8").reshape(p, p).copy()
-        s = np.frombuffer(blob[mat_bytes:2 * mat_bytes], dtype="<f8").reshape(p, p).copy()
-        samples = None
-        if cfg.keep_samples:
-            samples = np.frombuffer(blob[2 * mat_bytes:], dtype="<f8").reshape(n, p).copy()
-        for name, arr in (("theta_true", theta), ("S", s), ("samples", samples)):
-            if arr is not None and not np.isfinite(arr).all():
-                raise ValueError(f"entry {j}: {name} has non-finite values")
-        entries.append(DatasetEntry(theta_true=theta, s=s, samples=samples))
+    stacks = {}
+    for kind, shape in _stack_shapes(cfg).items():
+        try:
+            arr = np.load(root / f"{kind}.npy")
+        except (ValueError, EOFError) as exc:
+            raise ValueError(f"{kind}.npy: {exc}") from None
+        if arr.dtype != np.float64 or arr.shape != shape:
+            raise ValueError(f"{kind}.npy holds {arr.dtype} {arr.shape}, "
+                             f"meta.json implies float64 {shape}")
+        stacks[kind] = arr
+    # name the lowest entry with a non-finite value, and its first such array
+    bad = [(np.argmin(ok), "S" if kind == "s" else kind) for kind, arr in stacks.items()
+           if not (ok := np.isfinite(arr).all(axis=(1, 2))).all()]
+    if bad:
+        j, label = min(bad, key=lambda b: b[0])
+        raise ValueError(f"entry {j}: {label} has non-finite values")
     # the layers start from inv(S + I); reject what they cannot invert. One
     # stacked factorization per chunk; only when it fails are the chunk's
     # entries walked, to name the first failing one
-    for start in range(0, len(entries), _CHECK_CHUNK):
-        shifted = np.stack([e.s for e in entries[start:start + _CHECK_CHUNK]]) + np.eye(p)
+    for start in range(0, cfg.num, _CHECK_CHUNK):
+        shifted = stacks["s"][start:start + _CHECK_CHUNK] + np.eye(cfg.p)
         try:
             linalg.cholesky(shifted)
         except (ValueError, linalg.NotPositiveDefinite):
@@ -217,4 +214,6 @@ def load_dataset(path) -> Dataset:
                     linalg.cholesky(m)
                 except (ValueError, linalg.NotPositiveDefinite) as exc:
                     raise ValueError(f"entry {j}: S + I: {exc}") from None
-    return Dataset(config=cfg, entries=entries)
+    # each entry holds views of the stacks, which are in DatasetEntry's field order
+    return Dataset(config=cfg, entries=[DatasetEntry(*arrays)
+                                        for arrays in zip(*stacks.values())])

@@ -58,8 +58,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.lr >= 0.0:  # NaN fails too
-            raise ValueError("lr must be >= 0")
+        if not 0.0 <= self.lr < np.inf:  # NaN fails too
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:

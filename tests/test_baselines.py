@@ -108,8 +108,11 @@ class TestGlassoSolve:
             GlassoConfig(lam=-0.1)
         with pytest.raises(ValueError):
             GlassoConfig(tol=0.0)
-        with pytest.raises(ValueError, match="lam"):
-            GlassoConfig(lam=float("nan"))
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="lam"):
+                GlassoConfig(lam=bad)
+            with pytest.raises(ValueError, match="tol"):
+                GlassoConfig(tol=bad)
 
 
 def _reference_block_objective(x, mx, s12, s22: float, lam: float) -> float:

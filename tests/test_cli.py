@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from spodnet import cli, core, datagen, linalg, models, training
+from spodnet import baselines, cli, core, datagen, linalg, models, training
 from spodnet.cli import main
 
 
@@ -319,6 +319,21 @@ class TestBaseline:
         assert code == 2
         assert "meta.json" in capsys.readouterr().err
 
+    def test_previous_format_exits_2_naming_tag_and_gen_data(self, tmp_path,
+                                                             capsys):
+        # the layout of one blob file per entry, which no reader is kept for
+        old = tmp_path / "old"
+        old.mkdir()
+        meta = {"alpha": 0.9, "diag_boost": 0.1, "format": "SPODNET-DS-1",
+                "keep_samples": False, "n": 30, "num": 1, "p": 6, "seed": 1}
+        (old / "meta.json").write_text(json.dumps(meta))
+        (old / "entry-00000.bin").write_bytes(np.eye(6).tobytes() * 2)
+        code = main(["baseline", "--method", "glasso", "--data", str(old),
+                     "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'SPODNET-DS-1'" in err and "regenerate" in err and "gen-data" in err
+
     def test_lw_all_spd(self, tmp_path, small_data):
         _, test = small_data
         out = tmp_path / "lw.json"
@@ -479,7 +494,11 @@ class TestDiagnose:
     (["baseline", "--method", "glasso-cv", "--folds", "1"], "folds"),
     (["baseline", "--method", "glasso-cv", "--grid-size", "0"], "grid size"),
     (["baseline", "--method", "glasso-cv", "--grid-size", "-1"], "grid size"),
-], ids=["epochs", "batch-size", "folds", "grid-size-0", "grid-size-neg"])
+    (["train", "--lr", "inf"], "lr must be finite"),
+    (["baseline", "--method", "glasso", "--lambda", "inf"], "lam must be finite"),
+    (["baseline", "--method", "glasso-cv", "--tol", "inf"], "tol must be finite"),
+], ids=["epochs", "batch-size", "folds", "grid-size-0", "grid-size-neg",
+        "lr-inf", "lambda-inf", "tol-inf"])
 def test_out_of_range_flag_exits_2(tmp_path, small_data, flags, rule, capsys):
     # each rule is owned by the config object or function the flag feeds
     train, test = small_data
@@ -489,6 +508,58 @@ def test_out_of_range_flag_exits_2(tmp_path, small_data, flags, rule, capsys):
     assert main(flags + data + ["--out", str(out)]) == 2
     assert rule in capsys.readouterr().err
     assert not out.exists()
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the work ran before its output location was checked")
+
+
+class TestOutputLocationCheckedFirst:
+    def test_train_out_naming_a_file_exits_3(self, tmp_path, small_data,
+                                             monkeypatch):
+        train, test = small_data
+        out = tmp_path / "taken"
+        out.write_text("")
+        monkeypatch.setattr(training, "train", _must_not_run)
+        assert main(["train", "--train", str(train), "--test", str(test),
+                     "--out", str(out)]) == 3
+
+    def test_train_creates_out_before_training(self, tmp_path, small_data,
+                                               monkeypatch):
+        train, test = small_data
+        out = tmp_path / "new" / "run"
+        seen = []
+
+        def record(*args, **kwargs):
+            seen.append(out.is_dir())
+            return []
+
+        monkeypatch.setattr(training, "train", record)
+        assert main(["train", "--train", str(train), "--test", str(test),
+                     "--out", str(out)]) == 0
+        assert seen == [True]
+
+    def test_eval_unwritable_out_exits_3(self, tmp_path, small_data, trained,
+                                         monkeypatch, capsys):
+        _, test = small_data
+        monkeypatch.setattr(training, "evaluate", _must_not_run)
+        for out, why in ((tmp_path / "no" / "e.json", "no directory"),
+                         (tmp_path, "is a directory")):
+            code = main(["eval", "--checkpoint", str(trained / "checkpoint.json"),
+                         "--data", str(test), "--out", str(out)])
+            assert code == 3
+            assert why in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method, work", [
+        ("glasso", "glasso_solve"), ("glasso-cv", "glasso_cv"),
+        ("lw", "ledoit_wolf"), ("oas", "oas")])
+    def test_baseline_missing_out_directory_exits_3(self, tmp_path, small_data,
+                                                    monkeypatch, method, work):
+        _, test = small_data
+        monkeypatch.setattr(baselines, work, _must_not_run)
+        code = main(["baseline", "--method", method, "--data", str(test),
+                     "--out", str(tmp_path / "no" / "b.json")])
+        assert code == 3
 
 
 class TestConfigFile:

@@ -1,5 +1,7 @@
 """Ground-truth generation, Gaussian sampling, dataset persistence."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -147,28 +149,63 @@ class TestDataset:
             assert a.samples.tobytes() == b.samples.tobytes()
 
     def test_save_load_save_identical_bytes(self, tmp_path):
-        ds = build_dataset(GenConfig(p=4, n=8, num=2, alpha=0.6, seed=3))
+        ds = build_dataset(GenConfig(p=4, n=8, num=2, alpha=0.6, seed=3,
+                                     keep_samples=True))
         save_dataset(ds, tmp_path / "one")
         save_dataset(load_dataset(tmp_path / "one"), tmp_path / "two")
-        for name in ("meta.json", "entry-00000.bin", "entry-00001.bin"):
+        names = ["meta.json", "s.npy", "samples.npy", "theta_true.npy"]
+        assert sorted(f.name for f in (tmp_path / "one").iterdir()) == names
+        for name in names:
             assert (tmp_path / "one" / name).read_bytes() == \
                 (tmp_path / "two" / name).read_bytes()
 
+    def test_layout_without_samples(self, tmp_path):
+        ds = build_dataset(GenConfig(p=4, n=8, num=3, alpha=0.6, seed=3))
+        # over a directory that held samples
+        save_dataset(build_dataset(replace(ds.config, keep_samples=True)),
+                     tmp_path / "ds")
+        save_dataset(ds, tmp_path / "ds")
+        assert sorted(f.name for f in (tmp_path / "ds").iterdir()) == \
+            ["meta.json", "s.npy", "theta_true.npy"]
+        stack = np.load(tmp_path / "ds" / "s.npy")
+        assert stack.dtype == np.dtype("<f8") and stack.shape == (3, 4, 4)
+        assert stack[2].tobytes() == ds.entries[2].s.tobytes()
+
     def test_bad_format_tag(self, tmp_path):
+        # SPODNET-DS-1 stored one blob file per entry; its meta.json holds
+        # the gen-data arguments that rebuild the same data
         ds = build_dataset(GenConfig(p=4, n=8, num=1, alpha=0.6, seed=3))
         save_dataset(ds, tmp_path / "ds")
         meta = (tmp_path / "ds" / "meta.json").read_text()
-        (tmp_path / "ds" / "meta.json").write_text(
-            meta.replace("SPODNET-DS-1", "NOPE"))
-        with pytest.raises(ValueError):
-            load_dataset(tmp_path / "ds")
+        for tag in ("NOPE", "SPODNET-DS-1"):
+            (tmp_path / "ds" / "meta.json").write_text(
+                meta.replace(datagen.FORMAT_TAG, tag))
+            with pytest.raises(ValueError, match=f"'{tag}'.*regenerate.*gen-data"):
+                load_dataset(tmp_path / "ds")
 
     def test_truncated_entry_rejected(self, tmp_path):
         ds = build_dataset(GenConfig(p=4, n=8, num=1, alpha=0.6, seed=3))
         save_dataset(ds, tmp_path / "ds")
-        blob = (tmp_path / "ds" / "entry-00000.bin").read_bytes()
-        (tmp_path / "ds" / "entry-00000.bin").write_bytes(blob[:-8])
-        with pytest.raises(ValueError):
+        blob = (tmp_path / "ds" / "s.npy").read_bytes()
+        # empty, inside the header's length, inside the header, one value short
+        for cut in (0, 8, 100, len(blob) - 8):
+            (tmp_path / "ds" / "s.npy").write_bytes(blob[:cut])
+            with pytest.raises(ValueError, match="^s\\.npy"):
+                load_dataset(tmp_path / "ds")
+
+    @pytest.mark.parametrize("kind, bad", [
+        ("theta_true", np.ones((2, 4, 4))),
+        ("s", np.ones((3, 4, 5))),
+        ("samples", np.ones((3, 4, 4))),
+        ("s", np.ones((3, 4, 4), dtype=np.float32)),
+        ("theta_true", np.ones((3, 4, 4), dtype=">f8")),
+    ])
+    def test_stack_disagreeing_with_meta_rejected(self, tmp_path, kind, bad):
+        ds = build_dataset(GenConfig(p=4, n=8, num=3, alpha=0.6, seed=3,
+                                     keep_samples=True))
+        save_dataset(ds, tmp_path / "ds")
+        np.save(tmp_path / "ds" / f"{kind}.npy", bad)
+        with pytest.raises(ValueError, match=f"^{kind}\\.npy"):
             load_dataset(tmp_path / "ds")
 
     def test_non_finite_entry_rejected(self, tmp_path):
@@ -177,6 +214,38 @@ class TestDataset:
         save_dataset(ds, tmp_path / "ds")
         with pytest.raises(ValueError, match="entry 1: S"):
             load_dataset(tmp_path / "ds")
+
+    def test_lowest_non_finite_entry_is_named(self, tmp_path):
+        ds = build_dataset(GenConfig(p=4, n=8, num=5, alpha=0.6, seed=3,
+                                     keep_samples=True))
+        ds.entries[4].theta_true[0, 0] = np.inf
+        ds.entries[3].samples[1, 2] = np.nan
+        ds.entries[2].s[1, 1] = -np.inf
+        save_dataset(ds, tmp_path / "ds")
+        with pytest.raises(ValueError, match="entry 2: S has"):
+            load_dataset(tmp_path / "ds")
+        # within one entry, theta_true is named before S and samples
+        ds.entries[2].theta_true[3, 3] = np.nan
+        ds.entries[2].samples[0, 0] = np.nan
+        save_dataset(ds, tmp_path / "ds")
+        with pytest.raises(ValueError, match="entry 2: theta_true has"):
+            load_dataset(tmp_path / "ds")
+
+    def test_loaded_entries_are_views_of_writable_stacks(self, tmp_path):
+        ds = build_dataset(GenConfig(p=4, n=8, num=3, alpha=0.6, seed=3))
+        save_dataset(ds, tmp_path / "ds")
+        back = load_dataset(tmp_path / "ds")
+        first, last = back.entries[0].s, back.entries[-1].s
+        assert first.base is not None and first.base is last.base
+        assert first.flags.writeable and last.flags.writeable
+        # a loaded dataset can be rewritten in place, as the benchmark's
+        # shuffle does
+        back.entries.reverse()
+        save_dataset(back, tmp_path / "ds")
+        again = load_dataset(tmp_path / "ds")
+        for a, b in zip(again.entries, reversed(ds.entries)):
+            assert a.s.tobytes() == b.s.tobytes()
+            assert a.theta_true.tobytes() == b.theta_true.tobytes()
 
     def test_invalid_covariance_rejected(self, tmp_path):
         ds = build_dataset(GenConfig(p=4, n=8, num=2, alpha=0.6, seed=3))

@@ -75,8 +75,9 @@ class TestAdam:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(epochs=-1)
-        with pytest.raises(ValueError, match="lr"):
-            TrainConfig(lr=float("nan"))
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="lr"):
+                TrainConfig(lr=bad)
 
 
 def _score(pred, truth) -> dict:
