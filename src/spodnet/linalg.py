@@ -4,14 +4,23 @@ Every function takes one ``(p, p)`` matrix or a stack ``(..., p, p)``, and
 checks and factors a stack in one vectorised call. Factorizations and
 eigensolves are delegated to LAPACK through numpy, which runs the same
 ``potrf``/``syevd`` per matrix of a stack, so a stacked result has the bits
-of the per-matrix one. The triangular solves of :func:`spd_inverse` call
-scipy's LAPACK ``dtrtrs``, once per matrix, with the arguments that
-``scipy.linalg.solve_triangular`` passes it. numpy is not used for them
-yet: it has no transposed triangular solve, a numpy-only inverse rounds
-differently, and the acceptance suite's 30-epoch training (criterion 10)
-turns on the inverse's last bits. scipy is imported on the first call:
-loading it takes about 0.2 s, which a process that never inverts, such as
-``gen-data``, should not pay.
+of the per-matrix one.
+
+The triangular solves of :func:`spd_inverse` call LAPACK ``dtrtrs`` once
+per matrix, with the arguments that ``scipy.linalg.solve_triangular``
+passes it, because the acceptance suite's 30-epoch training (criterion 10)
+turns on the inverse's last bits and numpy's own solves round differently.
+numpy's wheels bundle their BLAS/LAPACK as scipy-openblas
+(``numpy.libs/libscipy_openblas64_*``), whose symbols carry a ``scipy_``
+prefix and, for its 64-bit integers, a ``64_`` suffix: ``dtrtrs`` is
+``scipy_dtrtrs_64_``. That library is already loaded with numpy, so
+:func:`spd_inverse` calls it through ``ctypes`` and the process never
+imports scipy, which costs about 26 MB of resident memory (scipy brings
+its own copy of OpenBLAS). It is the routine scipy calls, called with the
+same arguments, so the bits are scipy's; the tests check this bit for bit
+on both paths. Where numpy bundles no such library (macOS builds on
+Accelerate, conda builds on MKL, source builds), the solves go through
+``scipy.linalg.lapack.dtrtrs``, imported on the first call.
 
 This module adds the strict positive-definiteness contract (failures carry
 the offending pivot index and, for a stack, the sample; non-finite input is
@@ -21,7 +30,9 @@ shared by the update layer and the solvers.
 
 from __future__ import annotations
 
+import ctypes
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -141,16 +152,78 @@ def is_spd(a) -> bool:
 def spd_inverse(a) -> np.ndarray:
     """Inverse of each SPD matrix of ``a`` via Cholesky, symmetrized on output.
 
-    Each inverse is ``inv(L') inv(L)``: two ``dtrtrs`` solves against L',
-    with the arguments that ``scipy.linalg.solve_triangular(L, I,
-    lower=True)`` and ``solve_triangular(L', ., lower=False)`` pass, so the
-    bits are theirs. Their per-call checks are skipped: :func:`cholesky`
-    has checked the input, and its factor has a strictly positive diagonal.
+    Each inverse is ``inv(L') inv(L)``: two LAPACK ``dtrtrs`` solves against
+    U = L', the first transposed (``L X = I``), the second not (``L' Y =
+    X``). These are the calls ``scipy.linalg.solve_triangular(L, I,
+    lower=True)`` and ``solve_triangular(L', X, lower=False)`` make, so the
+    bits are theirs. The solves run in numpy's bundled OpenBLAS when
+    :func:`_bundled_dtrtrs` finds it, and through scipy otherwise. Neither
+    path repeats scipy's per-call checks: :func:`cholesky` has checked the
+    input, and its factor has a strictly positive diagonal.
     """
+    L = cholesky(a)
+    dtrtrs = _bundled_dtrtrs()
+    inv = _solve_scipy(L) if dtrtrs is None else _solve_bundled(dtrtrs, L)
+    return 0.5 * (inv + inv.mT)
+
+
+# Fortran CHARACTER arguments of dtrtrs; read-only, so shared by all callers
+_CHARS = tuple(ctypes.create_string_buffer(c) for c in (b"U", b"T", b"N"))
+_UPPER, _TRANS, _NOTRANS = (ctypes.addressof(c) for c in _CHARS)
+
+
+@lru_cache(maxsize=None)
+def _bundled_dtrtrs():
+    """``scipy_dtrtrs_64_`` of the scipy-openblas in numpy's wheel, or None.
+
+    The library is the one numpy itself loaded, so opening it maps nothing
+    new. Every argument is declared a pointer and passed as an integer
+    address, which ``ctypes`` converts with the least work per call.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*")):
+        try:
+            fn = ctypes.CDLL(str(path)).scipy_dtrtrs_64_
+        except (OSError, AttributeError):
+            continue
+        fn.argtypes = [ctypes.c_void_p] * 10
+        fn.restype = None
+        return fn
+    return None
+
+
+def _solve_bundled(dtrtrs, L: np.ndarray) -> np.ndarray:
+    """inv(L') inv(L) per matrix of ``L``, unsymmetrized and column-major.
+
+    L's C buffer read column-major is U = L'. The output starts as the
+    identity, which reads the same either way, and each matrix is solved
+    in place. The output holds each inverse transposed; the caller's
+    symmetrization adds the same two entries either way round.
+    """
+    p = L.shape[-1]
+    L = np.ascontiguousarray(L)
+    inv = np.zeros(L.shape)
+    inv.reshape(-1, p * p)[:, :: p + 1] = 1.0
+    # N = NRHS = LDA = LDB = p, then INFO; per call, as callers may run
+    # concurrently in threads
+    dims = (ctypes.c_int64 * 2)(p, 0)
+    n = ctypes.addressof(dims)
+    info = n + 8
+    lo, out = L.ctypes.data, inv.ctypes.data
+    for off in range(0, L.nbytes, L.itemsize * p * p):
+        dtrtrs(_UPPER, _TRANS, _NOTRANS, n, n, lo + off, n, out + off, n, info)
+        dtrtrs(_UPPER, _NOTRANS, _NOTRANS, n, n, lo + off, n, out + off, n, info)
+        if dims[1]:
+            raise np.linalg.LinAlgError(f"dtrtrs failed with info {dims[1]}")
+    return inv
+
+
+def _solve_scipy(L: np.ndarray) -> np.ndarray:
+    """inv(L') inv(L) per matrix of ``L`` through scipy's ``dtrtrs``,
+    unsymmetrized."""
     # imported here so a process that never inverts does not load scipy.linalg
     from scipy.linalg.lapack import dtrtrs
 
-    L = cholesky(a)
     p = L.shape[-1]
     eye = np.eye(p)
     inv = np.empty(L.shape)
@@ -158,7 +231,7 @@ def spd_inverse(a) -> np.ndarray:
         upper = lj.T
         half, _ = dtrtrs(upper, eye, lower=0, trans=1)
         out[...], _ = dtrtrs(upper, half, lower=0, trans=0, overwrite_b=1)
-    return 0.5 * (inv + inv.mT)
+    return inv
 
 
 def eig_diagnostics(a):

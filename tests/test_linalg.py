@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -136,31 +137,63 @@ class TestSpdInverse:
             spd_inverse(np.array([[2.0, 1.0], [0.5, 2.0]]))
 
 
-_SCIPY_ON_FIRST_INVERSE = """
+def _fresh_python(code, *args, env=None):
+    """Run ``code`` in a new interpreter with this checkout's spodnet; its
+    last stdout line, parsed as JSON."""
+    src = str(Path(linalg.__file__).resolve().parents[1])
+    env = {**(os.environ if env is None else env), "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                         env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+_CLI_WITHOUT_SCIPY = """
 import json
 import sys
 import numpy as np
 from spodnet import cli, linalg
-code = cli.main(["gen-data", "--p", "6", "--n", "20", "--num", "2",
-                 "--alpha", "0.9", "--seed", "3", "--out", sys.argv[1]])
-assert code == 0
-before = "scipy.linalg" in sys.modules
-inv = linalg.spd_inverse(np.array([[4.0, 2.0], [2.0, 2.0]]))
-print(json.dumps([before, "scipy.linalg" in sys.modules, inv.tobytes().hex()]))
+root = sys.argv[1]
+def run(*argv):
+    assert cli.main(list(argv)) == 0, argv
+for name, seed in (("train", 3), ("test", 4)):
+    run("gen-data", "--p", "6", "--n", "20", "--num", "4", "--alpha", "0.9",
+        "--seed", str(seed), "--out", f"{root}/{name}")
+run("train", "--model", "ubg", "--train", f"{root}/train", "--test", f"{root}/test",
+    "--epochs", "1", "--seed", "5", "--out", f"{root}/run")
+run("eval", "--checkpoint", f"{root}/run/checkpoint.json", "--data", f"{root}/test",
+    "--out", f"{root}/eval.json")
+run("baseline", "--method", "glasso", "--data", f"{root}/test", "--out", f"{root}/glasso.json")
+inv = linalg.spd_inverse(np.array([[4.0, 2.0, 1.0], [2.0, 3.0, 0.5], [1.0, 0.5, 2.0]]))
+print(json.dumps([sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  inv.tobytes().hex()]))
 """
 
 
-def test_scipy_loads_on_the_first_inverse_only(tmp_path):
-    """gen-data runs without scipy.linalg; spd_inverse imports it on first use."""
-    src = str(Path(linalg.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", _SCIPY_ON_FIRST_INVERSE,
-                          str(tmp_path / "data")],
-                         env=env, capture_output=True, text=True, check=True)
-    before, after, inv = json.loads(out.stdout.splitlines()[-1])
-    assert (before, after) == (False, True)
-    expected = spd_inverse(np.array([[4.0, 2.0], [2.0, 2.0]]))
-    assert bytes.fromhex(inv) == expected.tobytes()
+def test_cli_runs_without_scipy(tmp_path):
+    """gen-data, train, eval and baseline glasso invert through numpy's
+    bundled OpenBLAS and never import scipy; the inverse keeps its bits."""
+    if linalg._bundled_dtrtrs() is None:
+        pytest.skip("numpy bundles no scipy-openblas here; the scipy fallback runs")
+    loaded, inv = _fresh_python(_CLI_WITHOUT_SCIPY, tmp_path)
+    assert loaded == []
+    a = np.array([[4.0, 2.0, 1.0], [2.0, 3.0, 0.5], [1.0, 0.5, 2.0]])
+    assert bytes.fromhex(inv) == _solve_triangular_pair(a).tobytes()
+
+
+_BLAS_THREADS = """
+import json
+import os
+import spodnet
+print(json.dumps(os.environ.get("OPENBLAS_NUM_THREADS")))
+"""
+
+
+@pytest.mark.parametrize("user_value, expected", [(None, "1"), ("3", "3")])
+def test_import_pins_blas_threads_unless_set(user_value, expected):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if user_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = user_value
+    assert _fresh_python(_BLAS_THREADS, env=env) == expected
 
 
 class TestEigDiagnostics:
@@ -201,19 +234,24 @@ def _spd_stack(rng, shape, p):
     return np.stack(flat).reshape(*shape, p, p)
 
 
-@pytest.mark.parametrize("p", [2, 6, 20, 100])
+def _solve_triangular_pair(a):
+    """The reference inverse: scipy's two triangular solves, symmetrized."""
+    from scipy.linalg import solve_triangular
+
+    L = np.linalg.cholesky(a)
+    half = solve_triangular(L, np.eye(len(a)), lower=True)
+    inv = solve_triangular(L.T, half, lower=False)
+    return 0.5 * (inv + inv.T)
+
+
+@pytest.mark.parametrize("p", [1, 2, 6, 20, 100, 257])
 class TestStackBits:
     """Training outcomes depend on the inverse's last bits, so the stacked
     kernels must give each matrix exactly the per-matrix result."""
 
     def test_inverse_is_the_two_triangular_solves(self, p):
-        from scipy.linalg import solve_triangular
-
         a = _random_spd(np.random.default_rng(p), p)
-        L = np.linalg.cholesky(a)
-        half = solve_triangular(L, np.eye(p), lower=True)
-        inv = solve_triangular(L.T, half, lower=False)
-        assert np.array_equal(spd_inverse(a), 0.5 * (inv + inv.T))
+        assert np.array_equal(spd_inverse(a), _solve_triangular_pair(a))
 
     def test_stacked_inverse_equals_per_matrix(self, p):
         stack = _spd_stack(np.random.default_rng(p + 1), (2, 3), p)
@@ -234,6 +272,73 @@ class TestStackBits:
         assert lo.shape == hi.shape == cond.shape == (4,)
         for j in range(4):
             assert (lo[j], hi[j], cond[j]) == eig_diagnostics(stack[j])
+
+
+@pytest.fixture(params=["bundled", "scipy"])
+def inverse_path(request, monkeypatch):
+    """Run spd_inverse through numpy's bundled OpenBLAS, or through the
+    scipy fallback by letting the library locator find nothing."""
+    if request.param == "scipy":
+        monkeypatch.setattr(linalg, "_bundled_dtrtrs", lambda: None)
+    elif linalg._bundled_dtrtrs() is None:
+        pytest.skip("numpy bundles no scipy-openblas here")
+    return request.param
+
+
+@pytest.mark.parametrize("p", [1, 2, 6, 20, 100, 257])
+class TestInversePaths:
+    """Both paths of spd_inverse give scipy's bits, stacked and per matrix;
+    p runs across OpenBLAS's blocking sizes."""
+
+    def test_stack_and_each_matrix_are_the_solve_triangular_pair(self, inverse_path, p):
+        stack = _spd_stack(np.random.default_rng(p + 4), (2, 3), p)
+        out = spd_inverse(stack)
+        for idx in np.ndindex(2, 3):
+            expected = _solve_triangular_pair(stack[idx])
+            assert np.array_equal(out[idx], expected)
+            assert np.array_equal(spd_inverse(stack[idx]), expected)
+
+
+def test_ill_conditioned_inverse_is_the_solve_triangular_pair(inverse_path):
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((60, 30))
+    ill = a @ a.T / 60 + 1e-6 * np.eye(60)  # rank 30 plus a 1e-6 ridge
+    ill = 0.5 * (ill + ill.T)
+    assert eig_diagnostics(ill)[2] > 1e5
+    stack = np.stack([_random_spd(rng, 60), ill])
+    expected = _solve_triangular_pair(ill)
+    assert np.array_equal(spd_inverse(ill), expected)
+    assert np.array_equal(spd_inverse(stack)[1], expected)
+
+
+def test_concurrent_inverses_match_single_threaded(inverse_path):
+    """Threads inverting different stacks at once get the serial bytes: the
+    solves release the interpreter lock, so their size and status buffers
+    must not be shared."""
+    rng = np.random.default_rng(9)
+    stacks = [_spd_stack(rng, (6,), p) for p in (17, 30, 45, 60)]
+    serial = [spd_inverse(s).tobytes() for s in stacks]
+    start = threading.Barrier(len(stacks))
+    results = [[] for _ in stacks]
+
+    def work(k):
+        start.wait()
+        for _ in range(30):
+            results[k].append(spd_inverse(stacks[k]).tobytes())
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(len(stacks))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k, got in enumerate(results):
+        assert got == [serial[k]] * 30
 
 
 class TestStackFailures:
