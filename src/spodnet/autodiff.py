@@ -1,27 +1,21 @@
 """Float64 tensors with tape-based reverse-mode differentiation.
 
-A deliberately small engine. The models compose ``sub``, ``mul``,
-``scale``, ``quadratic_form``, ``soft_threshold`` and ``Tensor.sum``.
-Larger maps (each MLP call, the gradient step, the stabilizer, the block
-identities) are single ops built with ``apply_op``: a numpy forward plus
-a hand-written adjoint. No model uses ``add``, nor the per-sample-scalar
-broadcasting of ``add``, ``sub`` and ``mul``; they are the kit of the
-tests, which compose reference versions of single ops from them (the
-model tests' ``_composed_grad_step`` and ``_composed_g_eval``) and weight
-op outputs with ``mul`` in the core tests' directional checks.
+A deliberately small engine, holding only the ops the models compose:
+``sub``, ``mul``, ``scale``, ``quadratic_form``, ``soft_threshold`` and
+``Tensor.sum``. Larger maps (each MLP call, the gradient step, the
+stabilizer, the block identities) are single ops built with ``apply_op``:
+a numpy forward plus a hand-written adjoint.
 
 All data is float64. Every op is written over leading axes, so a stack of
 independent samples with a leading batch axis runs through the same op,
 as one tape node, as a single sample does: a per-sample vector has shape
 ``(..., k)``, a per-sample matrix ``(..., k, k)`` and a per-sample scalar
-``(...)`` or ``(..., 1)``. The only broadcasting the elementwise ops allow
-is a tensor of size one against any tensor, and a per-sample scalar
-``(..., 1)`` against a per-sample vector ``(..., k)``, which the models
-use only for ``soft_threshold``'s penalty; an adjoint sums over
-the axes its operand was broadcast along. A Tape is a per-forward-pass
-object, discarded after the backward sweep; leaf gradients accumulate
-additively until cleared with ``zero_grad``. Open tapes live on one
-module-level stack, so a process runs one forward/backward at a time.
+``(...)``. The elementwise ops (``sub``, ``mul`` and ``soft_threshold``)
+take operands of one shape only, so every adjoint is the plain
+elementwise product. A Tape is a per-forward-pass object, discarded after
+the backward sweep; leaf gradients accumulate additively until cleared
+with ``zero_grad``. Open tapes live on one module-level stack, so a
+process runs one forward/backward at a time.
 """
 
 from __future__ import annotations
@@ -36,11 +30,9 @@ __all__ = [
     "ShapeError",
     "Tape",
     "Tensor",
-    "add",
     "apply_op",
     "backward",
     "constant",
-    "finite_diff_check",
     "mul",
     "parameter",
     "quadratic_form",
@@ -185,10 +177,6 @@ def backward(loss: Tensor) -> None:
     tape.backward(loss)
 
 
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-
-
 def constant(data) -> Tensor:
     return Tensor(np.asarray(data, dtype=np.float64))
 
@@ -221,66 +209,33 @@ def zero_grad(params: Sequence[Tensor]) -> None:
 
 
 def _check_pair(a: Tensor, b: Tensor, opname: str) -> None:
-    sa, sb = a.data.shape, b.data.shape
-    if sa == sb or a.data.size == 1 or b.data.size == 1:
-        return
-    if len(sa) == len(sb) and sa[:-1] == sb[:-1] and 1 in (sa[-1], sb[-1]):
-        return  # a per-sample scalar against a per-sample vector
-    raise ShapeError(
-        f"{opname}: shapes {sa} and {sb} (only scalar-with-tensor and "
-        "per-sample-scalar-with-vector mixing is supported)"
-    )
-
-
-def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum ``g`` over the axes along which an operand of ``shape`` was
-    broadcast."""
-    if g.shape == shape:
-        return g
-    lead = g.ndim - len(shape)
-    axes = tuple(range(lead)) + tuple(
-        lead + k for k, n in enumerate(shape) if n == 1 and g.shape[lead + k] != 1)
-    return g.sum(axis=axes).reshape(shape)
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"{opname}: shapes {a.data.shape} and {b.data.shape} differ")
 
 
 # The elementwise adjoints compute and keep only what an operand that needs
 # a gradient uses, so a constant operand costs the tape nothing.
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_pair(a, b, "add")
-    ashape, bshape = a.data.shape, b.data.shape
-    na, nb = a.requires_grad, b.requires_grad
-
-    def vjp(g):
-        return (_reduce_to(g, ashape) if na else None,
-                _reduce_to(g, bshape) if nb else None)
-
-    return apply_op(a.data + b.data, (a, b), vjp)
-
-
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_pair(a, b, "sub")
-    ashape, bshape = a.data.shape, b.data.shape
     na, nb = a.requires_grad, b.requires_grad
 
     def vjp(g):
-        return (_reduce_to(g, ashape) if na else None,
-                _reduce_to(-g, bshape) if nb else None)
+        return (g if na else None, -g if nb else None)
 
     return apply_op(a.data - b.data, (a, b), vjp)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_pair(a, b, "mul")
-    ashape, bshape = a.data.shape, b.data.shape
     # each operand's adjoint reads the other operand
     ad = a.data if b.requires_grad else None
     bd = b.data if a.requires_grad else None
 
     def vjp(g):
-        return (None if bd is None else _reduce_to(g * bd, ashape),
-                None if ad is None else _reduce_to(g * ad, bshape))
+        return (None if bd is None else g * bd,
+                None if ad is None else g * ad)
 
     return apply_op(a.data * b.data, (a, b), vjp)
 
@@ -315,58 +270,21 @@ def quadratic_form(z: Tensor, m: Tensor) -> Tensor:
     return apply_op(np.vecdot(zm, zd), (z, m), vjp)
 
 
-def soft_threshold(x: Tensor, gamma) -> Tensor:
+def soft_threshold(x: Tensor, gamma: Tensor) -> Tensor:
     """sign(x) * max(|x| - gamma, 0), producing exact zeros in the dead zone.
 
-    ``gamma`` must be elementwise non-negative, same shape as ``x``, a
-    scalar, or a per-sample scalar ``(..., 1)`` against ``x`` of shape
-    ``(..., k)``. Subgradient convention at |x| == gamma: zero for both
-    operands.
+    ``gamma`` must be elementwise non-negative and of ``x``'s shape.
+    Subgradient convention at |x| == gamma: zero for both operands.
     """
-    gamma = _wrap(gamma)
     _check_pair(x, gamma, "soft_threshold")
     xd, gd = x.data, gamma.data
     if np.any(gd < 0.0):
         raise DomainError("soft_threshold requires gamma >= 0")
     mask = np.abs(xd) > gd
     sgn = np.sign(xd)
-    xshape, gshape = xd.shape, gd.shape
 
     def vjp(g):
         live = g * mask
-        return (_reduce_to(live, xshape), _reduce_to(-sgn * live, gshape))
+        return (live, -sgn * live)
 
     return apply_op(sgn * np.maximum(np.abs(xd) - gd, 0.0), (x, gamma), vjp)
-
-
-def finite_diff_check(loss_fn: Callable[[], Tensor], params: Sequence[Tensor],
-                      h: float = 1e-6) -> float:
-    """Max relative gap between tape gradients and central differences.
-
-    ``loss_fn`` evaluates the scalar loss from the parameters' current
-    values. It runs once under a fresh tape for the gradients, then twice
-    per parameter entry, without recording, for the central differences.
-    The relative error uses max(1, |central|) as denominator.
-    """
-    if h <= 0:
-        raise DomainError("finite_diff_check requires h > 0")
-    params = list(params)
-    zero_grad(params)
-    with Tape():
-        backward(loss_fn())
-    worst = 0.0
-    for p in params:
-        flat = p.data.reshape(-1)
-        gflat = np.zeros_like(flat) if p.grad is None else p.grad.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + h
-            fplus = float(loss_fn().data.reshape(()))
-            flat[j] = orig - h
-            fminus = float(loss_fn().data.reshape(()))
-            flat[j] = orig
-            central = (fplus - fminus) / (2.0 * h)
-            err = abs(gflat[j] - central) / max(1.0, abs(central))
-            if err > worst:
-                worst = err
-    return worst

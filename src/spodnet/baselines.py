@@ -41,7 +41,6 @@ __all__ = [
     "default_lambda_grid",
     "empirical_covariance",
     "glasso_cv",
-    "glasso_kkt_residual",
     "glasso_objective",
     "glasso_solve",
     "ledoit_wolf",
@@ -146,13 +145,13 @@ def _update_block(theta: np.ndarray, w: np.ndarray, pivot: tuple, lam: float,
             core.w_plus_np(m, x, v_target, i))
 
 
-def glasso_solve(s, cfg: GlassoConfig, objective_trace: list | None = None
-                 ) -> np.ndarray:
+def glasso_solve(s, cfg: GlassoConfig) -> np.ndarray:
     """Penalized precision estimate; SPD at every iterate by construction.
 
     Terminates when the objective decrease over a sweep drops below
-    ``cfg.tol`` or the sweep budget runs out. ``objective_trace`` collects
-    the objective value at initialization and after each sweep.
+    ``cfg.tol`` or the sweep budget runs out. The objective is evaluated
+    through the module attribute ``glasso_objective`` at initialization and
+    after each sweep, so a wrapper patched over it sees the objective trace.
     """
     sd = linalg.as_sym_matrix(s)
     p = sd.shape[0]
@@ -168,40 +167,15 @@ def glasso_solve(s, cfg: GlassoConfig, objective_trace: list | None = None
     start = core.initial_state(sd)
     theta, w = start.theta.data, start.w.data
     obj = glasso_objective(theta, sd, cfg.lam)
-    if objective_trace is not None:
-        objective_trace.append(obj)
     for _ in range(cfg.max_sweeps):
         prev = obj
         for pivot in pivots:
             theta, w = _update_block(theta, w, pivot, cfg.lam, cfg.inner_steps)
         w = linalg.spd_inverse(theta)  # bound drift of the maintained pair
         obj = glasso_objective(theta, sd, cfg.lam)
-        if objective_trace is not None:
-            objective_trace.append(obj)
         if prev - obj < cfg.tol:
             break
     return theta
-
-
-def glasso_kkt_residual(theta, s, lam: float) -> float:
-    """Largest stationarity violation of the penalized objective at theta.
-
-    Zero entries must satisfy |S_ij - W_ij| <= lam, nonzero entries
-    S_ij - W_ij + lam*sign(theta_ij) = 0, and the diagonal S_ii = W_ii,
-    where W is the exact inverse of theta.
-    """
-    td = linalg.as_sym_matrix(theta)
-    w = linalg.spd_inverse(td)
-    g = linalg.as_sym_matrix(s) - w
-    off = ~np.eye(td.shape[0], dtype=bool)
-    nz = off & (td != 0.0)
-    zz = off & (td == 0.0)
-    res = float(np.abs(np.diag(g)).max())
-    if nz.any():
-        res = max(res, float(np.abs(g + lam * np.sign(td))[nz].max()))
-    if zz.any():
-        res = max(res, float(np.maximum(np.abs(g)[zz] - lam, 0.0).max()))
-    return res
 
 
 def default_lambda_grid(samples, size: int) -> list[float]:

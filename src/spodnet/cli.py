@@ -219,31 +219,33 @@ def cmd_diagnose(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(("sample_id", "layer", "update", "pivot",
                          "min_eig", "max_diag", "cond"))
-        for idx, entry in enumerate(entries):
-            events: list[core.UpdateEvent] = []
-            try:
-                models.forward(entry.s, params, layer_cfg, hook=events.append)
-            except core.SpdViolation as exc:
-                raise core.SpdViolation(f"sample {idx}: {exc}", sample=idx) from exc
-            # one eigensolve per EVAL_CHUNK snapshots, so that no stacked
-            # copy of all K * p of them is made
-            for start in range(0, len(events), training.EVAL_CHUNK):
-                chunk = events[start:start + training.EVAL_CHUNK]
-                lows, _, conds = linalg.eig_diagnostics(
-                    np.stack([ev.theta_after for ev in chunk]))
-                for ev, lo, cond in zip(chunk, lows.tolist(), conds.tolist()):
-                    max_diag = float(np.diag(ev.theta_after).max())
-                    writer.writerow((idx, ev.layer, ev.layer * params.p + ev.i, ev.i,
-                                     repr(lo), repr(max_diag), repr(cond)))
-                    lam_hi, lam_lo = core.rank2_delta_eigs(ev.col_diff,
-                                                           ev.diag_diff)
-                    ok, excess = core.bauer_fike_check(
-                        ev.theta_before, ev.theta_after,
-                        max(abs(lam_hi), abs(lam_lo)))
+        rows: list[list] = []  # per update of a chunk, one row per sample
+
+        def audit(ev: core.UpdateEvent) -> None:
+            lows, _, conds = linalg.eig_diagnostics(ev.theta_after)
+            col_diff, diag_diff = ev.col_diff, ev.diag_diff
+            rows.append([])
+            for j, (lo, cond) in enumerate(zip(lows.tolist(), conds.tolist())):
+                # np.dot rounds differently on a stack's strided column
+                lam_hi, lam_lo = core.rank2_delta_eigs(
+                    np.ascontiguousarray(col_diff[j]), diag_diff[j])
+                after = ev.theta_after[j]
+                rows[-1].append((
+                    ev.layer, ev.layer * params.p + ev.i, ev.i, repr(lo),
+                    repr(float(np.diag(after).max())), repr(cond),
+                    *core.bauer_fike_check(ev.theta_before[j], after,
+                                           max(abs(lam_hi), abs(lam_lo)))))
+
+        for start, _ in training.forward_chunks(params, entries, layer_cfg,
+                                                hook=audit):
+            for j, sample_rows in enumerate(zip(*rows)):
+                for *row, ok, excess in sample_rows:
+                    writer.writerow((start + j, *row))
                     checked += 1
                     max_excess = max(max_excess, excess)
                     if not ok:
                         violations += 1
+            rows.clear()
     report = {"updates_checked": checked, "violations": violations,
               "max_excess": max_excess}
     _json_dump(out_dir / "bauer_fike.json", report)
@@ -345,17 +347,37 @@ def _build_parser(file_defaults: dict | None = None) -> argparse.ArgumentParser:
         if not isinstance(file_defaults, dict):
             raise ValueError("expected a JSON object of option values")
         values = {k.replace("-", "_"): v for k, v in file_defaults.items()}
-        dests = [{name.replace("-", "_"): a.dest for a in p._actions if a.dest != "help"
-                  for name in (a.dest, *(o[2:] for o in a.option_strings
-                                         if o.startswith("--")))}
-                 for p in built]
-        unknown = sorted(set(values).difference(*dests))
+        options = [{name.replace("-", "_"): a for a in p._actions if a.dest != "help"
+                    for name in (a.dest, *(o[2:] for o in a.option_strings
+                                           if o.startswith("--")))}
+                   for p in built]
+        unknown = sorted(set(values).difference(*options))
         if unknown:
             raise ValueError(f"no subcommand has an option named {unknown}")
-        for p, names in zip(built, dests):
-            p.set_defaults(**{names[k]: v for k, v in values.items() if k in names})
+        for p, named in zip(built, options):
+            p.set_defaults(**{named[k].dest: _file_value(named[k], k, v)
+                              for k, v in values.items() if k in named})
 
     return parser
+
+
+def _file_value(action: argparse.Action, key: str, value):
+    """A ``--config`` value, checked and converted as the same text given
+    as the flag would be: argparse converts only string defaults, so a file
+    value would otherwise skip the option's ``type`` and ``choices``. A
+    switch takes only a JSON bool, an option without a type only a string."""
+    if action.nargs == 0:  # a store_true switch
+        ok = isinstance(value, bool)
+    elif action.type is None:
+        ok = isinstance(value, str)
+    else:
+        try:
+            value, ok = action.type(str(value)), True
+        except (TypeError, ValueError):
+            ok = False
+    if not ok or action.choices is not None and value not in action.choices:
+        raise ValueError(f"{key}: invalid value {value!r}")
+    return value
 
 
 @lru_cache(maxsize=None)

@@ -42,7 +42,6 @@ __all__ = [
     "as_sym_matrix",
     "cholesky",
     "eig_diagnostics",
-    "is_spd",
     "rest_indices",
     "spd_inverse",
 ]
@@ -139,14 +138,6 @@ def _failing_pivot(m: np.ndarray) -> int:
         if j + 1 < p:
             L[j + 1:, j] = (m[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
     return p - 1
-
-
-def is_spd(a) -> bool:
-    try:
-        cholesky(a)
-    except NotPositiveDefinite:
-        return False
-    return True
 
 
 def spd_inverse(a) -> np.ndarray:

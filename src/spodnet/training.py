@@ -27,6 +27,7 @@ __all__ = [
     "TrainConfig",
     "adam_step",
     "evaluate",
+    "forward_chunks",
     "mse_loss",
     "offdiag_density",
     "score_estimates",
@@ -36,7 +37,7 @@ __all__ = [
 ]
 
 ZERO_TOL = 1e-8
-# matrices per evaluation forward: enough that the per-pivot numpy calls
+# matrices per eval/diagnose forward: enough that the per-pivot numpy calls
 # are shared by many samples. It matches the default training minibatch, so
 # evaluation after each epoch reuses heap blocks of the sizes training
 # freed; a chunk of 20 raised a p=20 training run's peak RSS by 0.4 MB.
@@ -180,19 +181,26 @@ def score_estimates(entries, estimates) -> dict:
     return {"samples": rows, "aggregates": agg}
 
 
-def evaluate(params: models.ModelParams, entries, cfg: core.LayerConfig) -> dict:
+def forward_chunks(params: models.ModelParams, entries, cfg: core.LayerConfig,
+                   hook=None):
     """Forward the entries without taping, ``EVAL_CHUNK`` at a time as one
-    batch, and score the estimates; an :class:`core.SpdViolation` names the
-    sample it arose in."""
-    estimates = []
+    batch, yielding each chunk's first index and its forward output; an
+    :class:`core.SpdViolation` names the sample it arose in."""
     for start in range(0, len(entries), EVAL_CHUNK):
         chunk = entries[start:start + EVAL_CHUNK]
         try:
-            out = models.forward(np.stack([e.s for e in chunk]), params, cfg)
+            out = models.forward(np.stack([e.s for e in chunk]), params, cfg,
+                                 hook=hook)
         except core.SpdViolation as exc:
             raise core.SpdViolation(f"sample {start + exc.sample}: {exc}",
                                     sample=start + exc.sample) from exc
-        estimates.extend(out.theta.data)
+        yield start, out
+
+
+def evaluate(params: models.ModelParams, entries, cfg: core.LayerConfig) -> dict:
+    """Forward the entries by :func:`forward_chunks` and score the estimates."""
+    estimates = [theta for _, out in forward_chunks(params, entries, cfg)
+                 for theta in out.theta.data]
     return score_estimates(entries, estimates)
 
 

@@ -19,6 +19,8 @@ from spodnet import baselines, core, datagen, linalg, models, training
 from spodnet.autodiff import Tensor
 from spodnet.core import LayerConfig
 
+from oracles import finite_diff_check, glasso_kkt_residual, is_spd
+
 
 def _report(num, ok, desc):
     print(f"\n[criterion {num:>2}] {'PASS' if ok else 'FAIL'}: {desc}")
@@ -178,7 +180,7 @@ class TestCriterion4:
                     out = models.forward(s, params, cfg, **kwargs)
                     return training.mse_loss(out.theta, theta_true)
 
-                worst[(variant, mode)] = ad.finite_diff_check(
+                worst[(variant, mode)] = finite_diff_check(
                     loss, params.tensors(), h=1e-6)
         peak = max(worst.values())
         detail = ", ".join(f"{v}/{m}={e:.1e}" for (v, m), e in worst.items())
@@ -384,7 +386,7 @@ class TestCriterion7:
                 theta = baselines.glasso_solve(
                     s, baselines.GlassoConfig(lam=lam, max_sweeps=1500,
                                               tol=1e-14, inner_steps=8))
-                worst = max(worst, baselines.glasso_kkt_residual(theta, s, lam))
+                worst = max(worst, glasso_kkt_residual(theta, s, lam))
         _report(7, worst <= 1e-6,
                 f"stationarity certificates at lam in {{0.05, 0.1, 0.5}}, "
                 f"p in {{5, 10}} (worst residual {worst:.2e})")
@@ -402,7 +404,7 @@ class TestCriterion8:
             theta = models.forward(entry.s, params, LayerConfig()).theta.data
             zero_frac = float((theta[off] == 0.0).mean())
             min_zero_frac = min(min_zero_frac, zero_frac)
-            if zero_frac < 0.01 or not linalg.is_spd(theta):
+            if zero_frac < 0.01 or not is_spd(theta):
                 exceptions += 1
         _report(8, exceptions == 0,
                 f"every trained output is strictly PD with exact zeros "

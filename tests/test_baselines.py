@@ -6,9 +6,19 @@ import pytest
 from spodnet import baselines, core, datagen, linalg
 from spodnet.baselines import (GlassoConfig, block_gista_step,
                                default_lambda_grid, empirical_covariance,
-                               glasso_cv, glasso_kkt_residual,
-                               glasso_objective, glasso_solve, ledoit_wolf,
-                               ledoit_wolf_shrinkage, oas, oas_shrinkage)
+                               glasso_cv, glasso_objective, glasso_solve,
+                               ledoit_wolf, ledoit_wolf_shrinkage, oas,
+                               oas_shrinkage)
+
+from oracles import glasso_kkt_residual, is_spd
+
+
+def _traced_solve(monkeypatch, s, cfg):
+    """glasso_solve's estimate and the objective values it computed."""
+    trace, objective = [], baselines.glasso_objective
+    monkeypatch.setattr(baselines, "glasso_objective",
+                        lambda *a: trace.append(objective(*a)) or trace[-1])
+    return glasso_solve(s, cfg), trace
 
 
 def _entry(p, n, alpha, seed):
@@ -79,17 +89,16 @@ class TestGlassoSolve:
                                              tol=1e-14, inner_steps=8))
         assert glasso_kkt_residual(theta, s, 0.1) <= 1e-6
 
-    def test_objective_monotone_and_iterates_pd(self):
+    def test_objective_monotone_and_iterates_pd(self, monkeypatch):
         # the trace is computed through a Cholesky-backed objective, so a
         # non-PD sweep iterate would have raised instead of appending
         _, s, _ = _entry(8, 60, 0.85, seed=4)
-        trace = []
-        theta = glasso_solve(s, GlassoConfig(lam=0.05, max_sweeps=60),
-                             objective_trace=trace)
+        theta, trace = _traced_solve(monkeypatch, s,
+                                     GlassoConfig(lam=0.05, max_sweeps=60))
         assert len(trace) >= 2
         diffs = np.diff(np.asarray(trace))
         assert np.all(diffs <= 1e-10)
-        assert linalg.is_spd(theta)
+        assert is_spd(theta)
 
     def test_estimates_are_sparse_with_moderate_penalty(self):
         _, s, _ = _entry(10, 50, 0.9, seed=5)
@@ -188,10 +197,10 @@ class TestSolverMatchesReferenceLoop:
         step = baselines.block_gista_step
         monkeypatch.setattr(baselines, "block_gista_step",
                             lambda *a: steps.append(1) or step(*a))
-        ref_trace, trace = [], []
+        ref_trace = []
         ref = _reference_solve(s, cfg, ref_trace)
         ref_steps = len(steps)
-        got = glasso_solve(s, cfg, objective_trace=trace)
+        got, trace = _traced_solve(monkeypatch, s, cfg)
         assert got.tobytes() == ref.tobytes()
         assert np.array(trace).tobytes() == np.array(ref_trace).tobytes()
         # the no-move test decides when a block stops taking steps
@@ -207,7 +216,7 @@ class TestGlassoCv:
         lam, theta = glasso_cv(x, lambda_grid=[0.123], folds=3,
                                cfg=GlassoConfig(max_sweeps=30, tol=1e-6))
         assert lam == 0.123
-        assert linalg.is_spd(theta)
+        assert is_spd(theta)
 
     def test_duplicated_data_has_zero_fold_variance(self):
         _, _, x = _entry(4, 10, 0.7, seed=7)
@@ -289,7 +298,7 @@ class TestLedoitWolf:
     def test_precision_is_spd(self):
         for seed in range(5):
             _, _, x = _entry(8, 6, 0.8, seed=seed)  # n < p
-            assert linalg.is_spd(ledoit_wolf(x))
+            assert is_spd(ledoit_wolf(x))
 
     def test_rho_in_unit_interval(self):
         for seed in range(10):
@@ -324,7 +333,7 @@ class TestOas:
     def test_precision_is_spd(self):
         for seed in range(5):
             _, _, x = _entry(9, 5, 0.8, seed=seed)  # n < p
-            assert linalg.is_spd(oas(x))
+            assert is_spd(oas(x))
 
 
 def test_default_lambda_grid_spans_two_decades():

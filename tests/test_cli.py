@@ -418,8 +418,9 @@ class TestDiagnose:
                                   monkeypatch):
         _, test = small_data
         out = tmp_path / "diag"
-        # 4 does not divide a sample's 6 updates: its spectra take two stacks
-        monkeypatch.setattr(training, "EVAL_CHUNK", 4)
+        # 2 does not divide the 3 samples: they are forwarded as two stacks,
+        # and a chunk boundary falls between samples 1 and 2
+        monkeypatch.setattr(training, "EVAL_CHUNK", 2)
         code = main(["diagnose", "--checkpoint",
                      str(trained / "checkpoint.json"), "--data", str(test),
                      "--out", str(out)])
@@ -640,6 +641,22 @@ class TestConfigFile:
         assert main(["--config", str(cfg)] + flags + ["--out", str(tmp_path / "a")]) == 0
         assert main(flags + ["--out", str(tmp_path / "b")]) == 0
         assert epochs == [3, 10]
+
+    @pytest.mark.parametrize("doc", [
+        {"epochs": 1.5}, {"p": 2.5}, {"batch_size": True}, {"keep_samples": 1},
+        {"no_stabilizer": "yes"}, {"model": "xyz"}, {"out": 5}])
+    def test_mistyped_value_exits_2(self, tmp_path, small_data, doc, capsys):
+        # argparse converts only string defaults, so a file value must go
+        # through its option's type (and choices) as the flag's text would
+        train, test = small_data
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        for command in (["gen-data", "--n", "5", "--num", "1"],
+                        ["train", "--train", str(train), "--test", str(test)]):
+            assert main(["--config", str(cfg), *command,
+                         "--out", str(tmp_path / "out")]) == 2
+            assert f"error: --config: {next(iter(doc))}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_non_object_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -13,7 +13,9 @@ import pytest
 from spodnet import linalg
 from spodnet.autodiff import Tensor
 from spodnet.linalg import (NotPositiveDefinite, cholesky, eig_diagnostics,
-                            is_spd, spd_inverse)
+                            spd_inverse)
+
+from oracles import glasso_kkt_residual, is_spd
 
 
 def _random_spd(rng, p, shift=1.0):
@@ -409,8 +411,8 @@ class TestStackFailures:
             lambda: baselines.glasso_solve(stack, cfg),
             lambda: baselines.glasso_objective(stack, np.eye(3), 0.1),
             lambda: baselines.glasso_objective(np.eye(3), stack, 0.1),
-            lambda: baselines.glasso_kkt_residual(stack, np.eye(3), 0.1),
-            lambda: baselines.glasso_kkt_residual(np.eye(3), stack, 0.1),
+            lambda: glasso_kkt_residual(stack, np.eye(3), 0.1),
+            lambda: glasso_kkt_residual(np.eye(3), stack, 0.1),
             lambda: core.bauer_fike_check(stack, stack, 1.0),
             lambda: datagen.sample_covariance(stack, 4, datagen.make_rng(0)),
         ]

@@ -12,6 +12,8 @@ from spodnet.core import ColumnContext, LayerConfig
 from spodnet.models import (VARIANTS, g_eval, init_params, load_checkpoint,
                             save_checkpoint)
 
+from oracles import broadcast_to, finite_diff_check
+
 
 def _zero_net(net):
     for t in net.tensors():
@@ -62,7 +64,7 @@ class TestMlpOp:
         net, x, rng = self._net(head)
         cot = Tensor(rng.standard_normal(2))
         inputs = [x, *net.tensors()]
-        err = ad.finite_diff_check(lambda: ad.mul(net(x), cot).sum(), inputs)
+        err = finite_diff_check(lambda: ad.mul(net(x), cot).sum(), inputs)
         assert err <= 1e-7
 
 
@@ -84,8 +86,8 @@ class TestMlpScalarInputs:
         out = net(*parts).data
         assert np.array_equal(out, net(Tensor(np.stack([t.data for t in parts], -1))).data)
         cot = Tensor(rng.standard_normal(out.shape))
-        err = ad.finite_diff_check(lambda: ad.mul(net(*parts), cot).sum(),
-                                   [*parts, *net.tensors()])
+        err = finite_diff_check(lambda: ad.mul(net(*parts), cot).sum(),
+                                [*parts, *net.tensors()])
         assert err <= 1e-7
 
     def test_mismatched_shapes_rejected(self):
@@ -103,7 +105,8 @@ def _stack_scalars(parts):
 
 def _composed_grad_step(ctx, params):
     gamma = params.nets["gamma"](ctx.theta12)
-    return ad.sub(ctx.theta12, ad.mul(gamma, ad.sub(ctx.s12, ctx.w12)))
+    diff = ad.sub(ctx.s12, ctx.w12)
+    return ad.sub(ctx.theta12, ad.mul(broadcast_to(gamma, diff.shape), diff))
 
 
 def _composed_g_eval(theta22, s22, schur_quad, params):
@@ -112,8 +115,8 @@ def _composed_g_eval(theta22, s22, schur_quad, params):
     net = params.nets["g"]
     bare = models.Mlp(replace(net.spec, floor=0.0), np.random.default_rng(0))
     bare.weights, bare.biases = net.weights, net.biases
-    return ad.add(bare(_stack_scalars((theta22, s22, schur_quad))),
-                  ad.constant([models.G_FLOOR]))
+    out = bare(_stack_scalars((theta22, s22, schur_quad)))
+    return ad.sub(out, broadcast_to(ad.constant([-models.G_FLOOR]), out.shape))
 
 
 def _run(build, leaves, cot):
@@ -162,8 +165,8 @@ class TestFusedOps:
                                              leaves, cot)
         assert np.array_equal(out, ref_out)
         _assert_bit_equal(grads, ref_grads)
-        assert (nodes, ref_nodes) == (2, 4 if mode == "full" else 3)
-        err = ad.finite_diff_check(
+        assert (nodes, ref_nodes) == (2, 5 if mode == "full" else 4)
+        err = finite_diff_check(
             lambda: ad.mul(models._grad_step(ctx, params), Tensor(cot)).sum(), leaves)
         assert err <= 1e-7
 
@@ -187,7 +190,7 @@ class TestFusedOps:
         assert np.array_equal(out, ref_out)
         _assert_bit_equal(grads, ref_grads)
         assert (nodes, ref_nodes) == (1, 3)
-        err = ad.finite_diff_check(
+        err = finite_diff_check(
             lambda: ad.mul(g_eval(theta22, s22, quad, params), Tensor(cot)).sum(), leaves)
         assert err <= 1e-7
 
