@@ -4,6 +4,10 @@ Subcommands generate datasets, train and evaluate the learned models, score
 the model-based baselines with the same metrics, and dump per-update
 spectral diagnostics. Outputs are plain CSV/JSON for downstream plotting.
 
+argparse parses every option: a ``--config`` file's values are checked,
+then read as flags placed right after the subcommand, so a flag typed later
+wins. This module only turns options into library calls and writes files.
+
 Exit codes: 0 success, 2 usage/validation, 3 I/O, 4 numerical contract
 violation.
 """
@@ -30,39 +34,39 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 
 
-class UsageError(Exception):
-    pass
-
-
 def _positive(value: float, flag: str) -> float:
     if not value > 0:
-        raise UsageError(f"{flag} must be > 0, got {value}")
+        raise ValueError(f"{flag} must be > 0, got {value}")
     return value
 
 
 def _load_dataset(path, flag: str) -> datagen.Dataset:
-    if path is None:
-        raise UsageError(f"missing required option {flag}")
     if not Path(path, "meta.json").exists():
-        raise UsageError(f"{flag}: no dataset at {path}")
+        raise ValueError(f"{flag}: no dataset at {path}")
     try:
         return datagen.load_dataset(path)
     except ValueError as exc:
-        raise UsageError(f"{flag}: {exc}") from exc
+        raise ValueError(f"{flag}: {exc}") from exc
 
 
-def _require(args, name: str, flag: str):
-    value = getattr(args, name)
-    if value is None:
-        raise UsageError(f"missing required option {flag}")
-    return value
+def _checkpoint_and_data(args):
+    """The ``--checkpoint`` model, its layer config and the ``--data`` set
+    it runs on, which must agree in p."""
+    try:
+        params, layer_cfg = models.load_checkpoint(args.checkpoint)
+    except ValueError as exc:
+        raise ValueError(f"--checkpoint: {exc}") from exc
+    ds = _load_dataset(args.data, "--data")
+    if ds.config.p != params.p:
+        raise ValueError(f"checkpoint has p={params.p} but dataset has "
+                         f"p={ds.config.p}")
+    return params, layer_cfg, ds
 
 
-def _out_file(args) -> str:
+def _out_file(out: str) -> str:
     """``--out`` for a file written after the work, checked before it: a
     location that cannot take the file should fail at once, not after a
     long run."""
-    out = _require(args, "out", "--out")
     if not Path(out).parent.is_dir():
         raise FileNotFoundError(f"--out: no directory {Path(out).parent}")
     if Path(out).is_dir():
@@ -89,28 +93,24 @@ def _write_report(out, report: dict, method: str) -> None:
 
 
 def cmd_gen_data(args) -> int:
-    out = _require(args, "out", "--out")
-    try:
-        cfg = datagen.GenConfig(p=args.p, n=args.n, num=args.num,
-                                alpha=args.alpha, diag_boost=args.diag_boost,
-                                seed=args.seed, keep_samples=args.keep_samples)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    cfg = datagen.GenConfig(p=args.p, n=args.n, num=args.num,
+                            alpha=args.alpha, diag_boost=args.diag_boost,
+                            seed=args.seed, keep_samples=args.keep_samples)
     ds = datagen.build_dataset(cfg)
-    datagen.save_dataset(ds, out)
+    datagen.save_dataset(ds, args.out)
     density = float(np.mean([training.offdiag_density(e.theta_true)
                              for e in ds.entries]))
     print(f"p={cfg.p} n={cfg.n} num={cfg.num} alpha={cfg.alpha} "
-          f"mean_density={density:.4f} out={out}")
+          f"mean_density={density:.4f} out={args.out}")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    out_dir = Path(_require(args, "out", "--out"))
+    out_dir = Path(args.out)
     train_ds = _load_dataset(args.train, "--train")
     test_ds = _load_dataset(args.test, "--test")
     if train_ds.config.p != test_ds.config.p:
-        raise UsageError(f"--train has p={train_ds.config.p} but --test has "
+        raise ValueError(f"--train has p={train_ds.config.p} but --test has "
                          f"p={test_ds.config.p}")
     _positive(args.lr, "--lr")
     layer_cfg = core.LayerConfig(zeta=args.zeta, num_layers=args.layers,
@@ -129,33 +129,21 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_checkpoint(args):
-    path = _require(args, "checkpoint", "--checkpoint")
-    try:
-        return models.load_checkpoint(path)
-    except ValueError as exc:
-        raise UsageError(f"--checkpoint: {exc}") from exc
-
-
 def cmd_eval(args) -> int:
-    out = _out_file(args)
-    params, layer_cfg = _load_checkpoint(args)
-    ds = _load_dataset(args.data, "--data")
-    if ds.config.p != params.p:
-        raise UsageError(f"checkpoint has p={params.p} but dataset has "
-                         f"p={ds.config.p}")
+    out = _out_file(args.out)
+    params, layer_cfg, ds = _checkpoint_and_data(args)
     report = training.evaluate(params, ds.entries, layer_cfg)
     _write_report(out, report, f"model:{params.variant}")
     return EXIT_OK
 
 
 def cmd_baseline(args) -> int:
-    out = _out_file(args)
+    out = _out_file(args.out)
     ds = _load_dataset(args.data, "--data")
     method = args.method
     needs_samples = method in ("glasso-cv", "lw", "oas")
     if needs_samples and ds.entries[0].samples is None:
-        raise UsageError(
+        raise ValueError(
             f"--method {method} needs raw samples; regenerate the dataset "
             "with gen-data --keep-samples")
 
@@ -180,12 +168,9 @@ def cmd_baseline(args) -> int:
         def one(entry):
             return baselines.ledoit_wolf(entry.samples)
 
-    elif method == "oas":
+    else:  # oas; argparse restricts --method to the four choices
         def one(entry):
             return baselines.oas(entry.samples)
-
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown method {method!r}")
 
     estimates = []
     for idx, entry in enumerate(ds.entries):
@@ -199,79 +184,63 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    out_dir = Path(_require(args, "out", "--out"))
-    params, layer_cfg = _load_checkpoint(args)
+    out_dir = Path(args.out)
+    params, layer_cfg, ds = _checkpoint_and_data(args)
     if args.zeta is not None:
         layer_cfg = replace(layer_cfg, zeta=args.zeta)
-    ds = _load_dataset(args.data, "--data")
-    if ds.config.p != params.p:
-        raise UsageError(f"checkpoint has p={params.p} but dataset has "
-                         f"p={ds.config.p}")
     if args.limit < 0:
-        raise UsageError(f"--limit must be >= 0, got {args.limit}")
+        raise ValueError(f"--limit must be >= 0, got {args.limit}")
     entries = ds.entries[:args.limit] if args.limit else ds.entries
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    violations = 0
-    checked = 0
-    max_excess = -float("inf")
+    updates: list[tuple] = []  # per update of a chunk, its per-sample arrays
+    oks, excesses = [], []
     with (out_dir / "trace.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("sample_id", "layer", "update", "pivot",
                          "min_eig", "max_diag", "cond"))
-        rows: list[list] = []  # per update of a chunk, one row per sample
 
         def audit(ev: core.UpdateEvent) -> None:
-            lows, _, conds = linalg.eig_diagnostics(ev.theta_after)
-            col_diff, diag_diff = ev.col_diff, ev.diag_diff
-            rows.append([])
-            for j, (lo, cond) in enumerate(zip(lows.tolist(), conds.tolist())):
-                # np.dot rounds differently on a stack's strided column
-                lam_hi, lam_lo = core.rank2_delta_eigs(
-                    np.ascontiguousarray(col_diff[j]), diag_diff[j])
-                after = ev.theta_after[j]
-                rows[-1].append((
-                    ev.layer, ev.layer * params.p + ev.i, ev.i, repr(lo),
-                    repr(float(np.diag(after).max())), repr(cond),
-                    *core.bauer_fike_check(ev.theta_before[j], after,
-                                           max(abs(lam_hi), abs(lam_lo)))))
+            after = ev.theta_after
+            lows, _, conds = linalg.eig_diagnostics(after)
+            lam_hi, lam_lo = core.rank2_delta_eigs(ev.col_diff, ev.diag_diff)
+            ok, excess = core.bauer_fike_check(
+                ev.theta_before, after, np.maximum(abs(lam_hi), abs(lam_lo)))
+            oks.append(ok)
+            excesses.append(excess)
+            values = np.stack([lows, after.diagonal(0, -2, -1).max(-1), conds], -1)
+            updates.append((ev.layer, ev.layer * params.p + ev.i, ev.i,
+                            values.tolist()))
 
-        for start, _ in training.forward_chunks(params, entries, layer_cfg,
-                                                hook=audit):
-            for j, sample_rows in enumerate(zip(*rows)):
-                for *row, ok, excess in sample_rows:
-                    writer.writerow((start + j, *row))
-                    checked += 1
-                    max_excess = max(max_excess, excess)
-                    if not ok:
-                        violations += 1
-            rows.clear()
-    report = {"updates_checked": checked, "violations": violations,
-              "max_excess": max_excess}
+        for start, out in training.forward_chunks(params, entries, layer_cfg,
+                                                  hook=audit):
+            for j in range(len(out.theta.data)):
+                writer.writerows((start + j, *head, *map(repr, values[j]))
+                                 for *head, values in updates)
+            updates.clear()
+    ok, excess = np.concatenate(oks), np.concatenate(excesses)
+    violations = int(np.count_nonzero(~ok))
+    report = {"updates_checked": ok.size, "violations": violations,
+              "max_excess": float(excess.max())}
     _json_dump(out_dir / "bauer_fike.json", report)
     status = "PASS" if violations == 0 else "FAIL"
-    print(f"bauer-fike {status}: {violations} violations over {checked} "
-          f"updates (max excess {max_excess:.3e}) out={out_dir}")
+    print(f"bauer-fike {status}: {violations} violations over {ok.size} "
+          f"updates (max excess {report['max_excess']:.3e}) out={out_dir}")
     return EXIT_OK if violations == 0 else EXIT_NUMERIC
 
 
 # -- parser ------------------------------------------------------------------
 
 
-def _build_parser(file_defaults: dict | None = None) -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spodnet",
         description="SPD-preserving learned precision estimation experiments")
     parser.add_argument("--config", help="JSON file with default option values "
                                          "(explicit flags take precedence)")
     sub = parser.add_subparsers(dest="command", required=True)
-    built = []
 
-    def with_defaults(p):
-        built.append(p)
-        return p
-
-    g = with_defaults(sub.add_parser("gen-data", help="generate a dataset"))
+    g = sub.add_parser("gen-data", help="generate a dataset")
     g.add_argument("--p", type=int, default=20)
     g.add_argument("--n", type=int, default=100)
     g.add_argument("--num", type=int, default=100)
@@ -280,13 +249,13 @@ def _build_parser(file_defaults: dict | None = None) -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--keep-samples", action="store_true",
                    help="also store the raw n-by-p sample blocks")
-    g.add_argument("--out")
+    g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen_data)
 
-    t = with_defaults(sub.add_parser("train", help="train a model"))
+    t = sub.add_parser("train", help="train a model")
     t.add_argument("--model", choices=models.VARIANTS, default="ubg")
-    t.add_argument("--train", help="training dataset directory")
-    t.add_argument("--test", help="test dataset directory")
+    t.add_argument("--train", required=True, help="training dataset directory")
+    t.add_argument("--test", required=True, help="test dataset directory")
     t.add_argument("--epochs", type=int, default=10)
     t.add_argument("--lr", type=float, default=1e-2)
     t.add_argument("--batch-size", type=int, default=10)
@@ -297,20 +266,21 @@ def _build_parser(file_defaults: dict | None = None) -> argparse.ArgumentParser:
                    help="disable the pre-threshold rescaling")
     t.add_argument("--tape-mode", choices=("detached", "full"),
                    default="detached")
-    t.add_argument("--out", help="output directory for checkpoint + metrics")
+    t.add_argument("--out", required=True,
+                   help="output directory for checkpoint + metrics")
     t.set_defaults(func=cmd_train)
 
-    e = with_defaults(sub.add_parser("eval", help="evaluate a checkpoint"))
-    e.add_argument("--checkpoint")
-    e.add_argument("--data")
-    e.add_argument("--out", help="output JSON path")
+    e = sub.add_parser("eval", help="evaluate a checkpoint")
+    e.add_argument("--checkpoint", required=True)
+    e.add_argument("--data", required=True)
+    e.add_argument("--out", required=True, help="output JSON path")
     e.set_defaults(func=cmd_eval)
 
-    b = with_defaults(sub.add_parser("baseline", help="run a baseline method"))
+    b = sub.add_parser("baseline", help="run a baseline method")
     b.add_argument("--method", choices=("glasso", "glasso-cv", "lw", "oas"),
                    required=True)
-    b.add_argument("--data")
-    b.add_argument("--out", help="output JSON path")
+    b.add_argument("--data", required=True)
+    b.add_argument("--out", required=True, help="output JSON path")
     b.add_argument("--lambda", dest="lam", type=float, default=0.1,
                    help="l1 penalty; read only by --method glasso "
                         "(default %(default)s)")
@@ -329,43 +299,54 @@ def _build_parser(file_defaults: dict | None = None) -> argparse.ArgumentParser:
                         "GlassoConfig's 1e-10 (default %(default)s)")
     b.set_defaults(func=cmd_baseline)
 
-    d = with_defaults(sub.add_parser("diagnose",
-                                     help="spectral trace + perturbation audit"))
-    d.add_argument("--checkpoint")
-    d.add_argument("--data")
-    d.add_argument("--out", help="output directory")
+    d = sub.add_parser("diagnose", help="spectral trace + perturbation audit")
+    d.add_argument("--checkpoint", required=True)
+    d.add_argument("--data", required=True)
+    d.add_argument("--out", required=True, help="output directory")
     d.add_argument("--zeta", type=float, default=None,
                    help="override the checkpoint's zeta (must be > 0)")
     d.add_argument("--limit", type=int, default=0,
                    help="diagnose only the first N samples (0 = all)")
     d.set_defaults(func=cmd_diagnose)
-
-    if file_defaults is not None:
-        # a key may name an option of any subcommand, so one file can serve
-        # several; a key that names none is a typo. An option is named by
-        # its long flag or its destination (``lambda`` or ``lam``).
-        if not isinstance(file_defaults, dict):
-            raise ValueError("expected a JSON object of option values")
-        values = {k.replace("-", "_"): v for k, v in file_defaults.items()}
-        options = [{name.replace("-", "_"): a for a in p._actions if a.dest != "help"
-                    for name in (a.dest, *(o[2:] for o in a.option_strings
-                                           if o.startswith("--")))}
-                   for p in built]
-        unknown = sorted(set(values).difference(*options))
-        if unknown:
-            raise ValueError(f"no subcommand has an option named {unknown}")
-        for p, named in zip(built, options):
-            p.set_defaults(**{named[k].dest: _file_value(named[k], k, v)
-                              for k, v in values.items() if k in named})
-
     return parser
 
 
-def _file_value(action: argparse.Action, key: str, value):
-    """A ``--config`` value, checked and converted as the same text given
-    as the flag would be: argparse converts only string defaults, so a file
-    value would otherwise skip the option's ``type`` and ``choices``. A
-    switch takes only a JSON bool, an option without a type only a string."""
+def _config_flags(parser: argparse.ArgumentParser, doc, command) -> list[str]:
+    """A ``--config`` file's values for ``command``, as flag tokens.
+
+    A key may name an option of any subcommand, so one file can serve
+    several; a key that names none is a typo. An option is named by its long
+    flag or its destination (``lambda`` or ``lam``). Every value is checked
+    against each option it names, whichever subcommand runs.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("expected a JSON object of option values")
+    values = {k.replace("-", "_"): v for k, v in doc.items()}
+    commands = next(a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    options = {name: {key.replace("-", "_"): a for a in p._actions if a.dest != "help"
+                      for key in (a.dest, *(o[2:] for o in a.option_strings
+                                            if o.startswith("--")))}
+               for name, p in commands.items()}
+    unknown = sorted(set(values).difference(*options.values()))
+    if unknown:
+        raise ValueError(f"no subcommand has an option named {unknown}")
+    flags = []
+    for name, named in options.items():
+        for k, v in values.items():
+            if k in named:
+                _file_value(named[k], k, v)
+                if name == command and v is not False:  # a switch left off
+                    flag = named[k].option_strings[0]
+                    flags.append(flag if v is True else f"{flag}={v}")
+    return flags
+
+
+def _file_value(action: argparse.Action, key: str, value) -> None:
+    """Check a ``--config`` value as the same text given as the flag would
+    be checked, and more strictly: a switch takes only a JSON bool, an
+    option without a type only a string, so ``{"out": 5}`` does not pass as
+    the path ``5``."""
     if action.nargs == 0:  # a store_true switch
         ok = isinstance(value, bool)
     elif action.type is None:
@@ -377,17 +358,18 @@ def _file_value(action: argparse.Action, key: str, value):
             ok = False
     if not ok or action.choices is not None and value not in action.choices:
         raise ValueError(f"{key}: invalid value {value!r}")
-    return value
 
 
 @lru_cache(maxsize=None)
 def _plain_parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
-    """The ``--config`` pre-parser and the parser without file defaults,
-    built once per process: each build leaves a few hundred objects in
-    reference cycles. A ``--config`` call builds its own parser, so file
-    defaults never reach a later call."""
+    """The ``--config`` pre-parser and the one parser of every call, built
+    once per process: each build leaves a few hundred objects in reference
+    cycles. The pre-parser reads ``--config`` only before the subcommand,
+    and its ``rest`` is what follows the subcommand."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
+    pre.add_argument("command", nargs="?")
+    pre.add_argument("rest", nargs=argparse.REMAINDER)
     return pre, _build_parser()
 
 
@@ -397,7 +379,9 @@ def main(argv=None) -> int:
     known, _ = pre.parse_known_args(argv)
     try:
         if known.config:
-            parser = _build_parser(json.loads(Path(known.config).read_text()))
+            at = len(argv) - len(known.rest)  # just after the subcommand
+            argv[at:at] = _config_flags(
+                parser, json.loads(Path(known.config).read_text()), known.command)
     except OSError as exc:
         print(f"error: --config: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -410,11 +394,8 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
-        # config dataclasses validate flag-derived values
+        # the CLI's own checks and the config dataclasses' validation
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except core.SpdViolation as exc:

@@ -459,30 +459,38 @@ def stabilize_preactivation(z: Tensor, theta11_inv: Tensor, zeta: float) -> Tens
     return apply_op(s * zd, (z, theta11_inv), vjp)
 
 
-def rank2_delta_eigs(col_diff: np.ndarray, diag_diff: float) -> tuple[float, float]:
-    """Nonzero eigenvalues of the symmetric column-row perturbation.
+def rank2_delta_eigs(col_diff, diag_diff):
+    """Nonzero eigenvalues of the symmetric column-row perturbation, for one
+    perturbation or a stack of them.
 
-    The perturbation carries ``col_diff`` on one column/row pair and
-    ``diag_diff`` on the pivot diagonal; its rank is at most 2 and the
-    nonzero eigenvalues are (d +/- sqrt(d^2 + 4 ||c||^2)) / 2.
+    The perturbation carries ``col_diff`` (``(..., p - 1)``) on one
+    column/row pair and ``diag_diff`` (the batch shape) on the pivot
+    diagonal; its rank is at most 2 and the nonzero eigenvalues are
+    (d +/- sqrt(d^2 + 4 ||c||^2)) / 2. Returns (larger, smaller): floats for
+    one perturbation, arrays of the batch shape for a stack.
     """
-    c2 = float(np.dot(col_diff, col_diff))
-    d = float(diag_diff)
-    root = float(np.sqrt(d * d + 4.0 * c2))
-    return 0.5 * (d + root), 0.5 * (d - root)
+    # contiguous, so a stack's strided rows round as one contiguous vector does
+    c = np.ascontiguousarray(col_diff, dtype=np.float64)
+    d = np.asarray(diag_diff, dtype=np.float64)
+    root = np.sqrt(d * d + 4.0 * np.vecdot(c, c))
+    hi, lo = 0.5 * (d + root), 0.5 * (d - root)
+    return (float(hi), float(lo)) if c.ndim == 1 else (hi, lo)
 
 
-def bauer_fike_check(theta_before, theta_after,
-                     delta_op_norm: float) -> tuple[bool, float]:
+def bauer_fike_check(theta_before, theta_after, delta_op_norm):
     """Check |lambda_k(before) - lambda_k(after)| <= delta_op_norm for all k,
-    up to ``BAUER_FIKE_SLACK``.
+    up to ``BAUER_FIKE_SLACK``, for one matrix pair or a stack of pairs with
+    ``delta_op_norm`` of the batch shape.
 
-    Returns (within bound, max excess over the bound); the excess is
+    Returns (within bound, max excess over the bound): a bool and a float
+    for one pair, arrays of the batch shape for a stack; the excess is
     negative when the bound holds with room to spare.
     """
-    wb = np.linalg.eigvalsh(linalg.as_sym_matrix(theta_before))
-    wa = np.linalg.eigvalsh(linalg.as_sym_matrix(theta_after))
-    excess = float((np.abs(wb - wa) - delta_op_norm).max())
+    wb = np.linalg.eigvalsh(linalg.as_sym_array(theta_before))
+    wa = np.linalg.eigvalsh(linalg.as_sym_array(theta_after))
+    excess = (np.abs(wb - wa) - np.asarray(delta_op_norm)[..., None]).max(-1)
+    if wb.ndim == 1:
+        return bool(excess <= BAUER_FIKE_SLACK), float(excess)
     return excess <= BAUER_FIKE_SLACK, excess
 
 

@@ -181,6 +181,9 @@ def load_dataset(path) -> Dataset:
     for key in ("p", "n", "num"):
         if key in meta and type(meta[key]) is not int:
             raise ValueError(f"meta.json: {key} must be an integer, got {meta[key]!r}")
+    if type(meta.get("keep_samples", False)) is not bool:
+        raise ValueError(f"meta.json: keep_samples must be a bool, got "
+                         f"{meta['keep_samples']!r}")
     try:
         cfg = GenConfig(**meta)
     except TypeError as exc:

@@ -1,5 +1,6 @@
 """End-to-end command line behavior, including exit codes and determinism."""
 
+import argparse
 import csv
 import json
 import re
@@ -305,8 +306,10 @@ class TestBaseline:
         lambda m: {k: v for k, v in m.items() if k != "p"},
         lambda m: {**m, "p": "6"},
         lambda m: {**m, "num": 2.5},
+        lambda m: {**m, "keep_samples": "no"},
         lambda m: [m],
-    ], ids=["extra-key", "missing-p", "string-p", "float-num", "list"])
+    ], ids=["extra-key", "missing-p", "string-p", "float-num", "string-keep-samples",
+            "list"])
     def test_malformed_meta_exits_2(self, tmp_path, small_data, edit, capsys):
         import shutil
         _, test = small_data
@@ -610,6 +613,52 @@ class TestConfigFile:
                      "--out", str(default)]) == 0
         assert from_file.read_text() != default.read_text()
 
+    @pytest.mark.parametrize("key, command", [
+        ("method", "baseline"), ("data", "baseline"), ("train", "train"),
+        ("test", "train"), ("checkpoint", "eval"), ("out", "eval")])
+    def test_required_option_from_file(self, tmp_path, small_data, trained,
+                                       key, command, capsys):
+        train, test = small_data
+        options = {"baseline": {"method": "lw", "data": test},
+                   "train": {"train": train, "test": test, "epochs": 1},
+                   "eval": {"checkpoint": trained / "checkpoint.json",
+                            "data": test}}[command]
+
+        def run(tag, file_value, flag_value, config_after=False):
+            """``command`` with ``key`` from the file and the flag (None
+            leaves it out) and the other options as flags; its exit code."""
+            opts = {**options, "out": tmp_path / tag, key: flag_value}
+            flags = [t for k, v in opts.items() if v is not None
+                     for t in (f"--{k}", str(v))]
+            cfg = tmp_path / f"{tag}.json"
+            cfg.write_text(json.dumps({} if file_value is None
+                                      else {key: str(file_value)}))
+            head = [command, "--config", str(cfg)] if config_after else \
+                ["--config", str(cfg), command]
+            return main(head + flags)
+
+        def value(tag):  # the option's value in the run named ``tag``
+            return tmp_path / tag if key == "out" else options[key]
+
+        def written(tag):
+            out = tmp_path / tag
+            return _read_tree(out) if out.is_dir() else out.read_bytes()
+
+        assert run("flag", None, value("flag")) == 0
+        assert run("file", value("file"), None) == 0
+        assert written("file") == written("flag")
+        # a flag typed after the file wins
+        decoy = "oas" if key == "method" else tmp_path / "decoy"
+        assert run("both", decoy, value("both")) == 0
+        assert written("both") == written("flag")
+        assert not (tmp_path / "decoy").exists()
+        capsys.readouterr()
+        assert run("neither", None, None) == 2
+        assert f"required: --{key}" in capsys.readouterr().err
+        # --config is read only before the subcommand
+        assert run("after", value("after"), value("after"), config_after=True) == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+
     def test_plain_calls_reuse_one_parser(self, tmp_path, monkeypatch):
         cli._plain_parsers()  # built once per process, maybe by an earlier test
         built = []
@@ -624,7 +673,8 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"p": 3}))
         assert main(["--config", str(cfg), "gen-data", "--n", "4", "--num", "1",
                      "--out", str(tmp_path / "ds_cfg")]) == 0
-        assert len(built) == 1
+        # a --config call reads the file's values as flags through the same parser
+        assert built == []
 
     def test_file_defaults_do_not_reach_a_later_call(self, tmp_path, small_data,
                                                      monkeypatch):
@@ -672,6 +722,28 @@ class TestConfigFile:
 
     def test_unknown_command_exits_2(self):
         assert main(["frobnicate"]) == 2
+
+
+def test_option_surface():
+    # the long options of the command line; a change that adds or drops one
+    # edits this table
+    parser = cli._plain_parsers()[1]
+    commands = next(a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    surface = {name: {o for a in p._actions for o in a.option_strings if o.startswith("--")}
+               for name, p in [("spodnet", parser), *commands.items()]}
+    assert surface == {
+        "spodnet": {"--help", "--config"},
+        "gen-data": {"--help", "--p", "--n", "--num", "--alpha", "--diag-boost",
+                     "--seed", "--keep-samples", "--out"},
+        "train": {"--help", "--model", "--train", "--test", "--epochs", "--lr",
+                  "--batch-size", "--zeta", "--layers", "--seed", "--no-stabilizer",
+                  "--tape-mode", "--out"},
+        "eval": {"--help", "--checkpoint", "--data", "--out"},
+        "baseline": {"--help", "--method", "--data", "--out", "--lambda", "--folds",
+                     "--grid-size", "--max-sweeps", "--tol"},
+        "diagnose": {"--help", "--checkpoint", "--data", "--out", "--zeta", "--limit"},
+    }
 
 
 def test_gen_data_io_failure_exits_3():

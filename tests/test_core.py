@@ -628,6 +628,25 @@ class TestBauerFike:
         ok, _ = bauer_fike_check(theta, bumped, 2.0)
         assert ok
 
+    def test_stack_equals_each_pair(self):
+        # diagnose audits a forward's stack at once, with each pair's bits
+        rng = np.random.default_rng(16)
+        p, i = 7, 3
+        rest = linalg.rest_indices(p, i)
+        before = np.stack([_random_spd(rng, p) for _ in range(4)])
+        after = np.stack([theta_plus_np(t, i, rng.standard_normal(p - 1), 0.5,
+                                        np.linalg.inv(t[np.ix_(rest, rest)]))
+                          for t in before])
+        col_diff = after[..., rest, i] - before[..., rest, i]
+        diag_diff = after[..., i, i] - before[..., i, i]
+        hi, lo = rank2_delta_eigs(col_diff, diag_diff)
+        bound = np.maximum(abs(hi), abs(lo))
+        ok, excess = bauer_fike_check(before, after, bound)
+        assert ok.shape == excess.shape == (4,) and ok.all()
+        for j in range(4):
+            assert (hi[j], lo[j]) == rank2_delta_eigs(col_diff[j].copy(), diag_diff[j])
+            assert (ok[j], excess[j]) == bauer_fike_check(before[j], after[j], bound[j])
+
 
 def test_single_column_update_quadratic_scaling():
     """Doubling p should roughly quadruple one column update's cost."""

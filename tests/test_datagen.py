@@ -1,5 +1,6 @@
 """Ground-truth generation, Gaussian sampling, dataset persistence."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -172,6 +173,18 @@ class TestDataset:
         stack = np.load(tmp_path / "ds" / "s.npy")
         assert stack.dtype == np.dtype("<f8") and stack.shape == (3, 4, 4)
         assert stack[2].tobytes() == ds.entries[2].s.tobytes()
+
+    @pytest.mark.parametrize("value", ["no", 0, 1, None])
+    def test_keep_samples_must_be_a_bool(self, tmp_path, value):
+        # a non-bool that reads as true would send the loader after a
+        # samples.npy that was never written
+        save_dataset(build_dataset(GenConfig(p=4, n=8, num=2, alpha=0.6, seed=3)),
+                     tmp_path / "ds")
+        meta = json.loads((tmp_path / "ds" / "meta.json").read_text())
+        (tmp_path / "ds" / "meta.json").write_text(
+            json.dumps({**meta, "keep_samples": value}))
+        with pytest.raises(ValueError, match="^meta.json: keep_samples must be a bool"):
+            load_dataset(tmp_path / "ds")
 
     def test_bad_format_tag(self, tmp_path):
         # SPODNET-DS-1 stored one blob file per entry; its meta.json holds

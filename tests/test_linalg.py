@@ -159,12 +159,15 @@ def run(*argv):
     assert cli.main(list(argv)) == 0, argv
 for name, seed in (("train", 3), ("test", 4)):
     run("gen-data", "--p", "6", "--n", "20", "--num", "4", "--alpha", "0.9",
-        "--seed", str(seed), "--out", f"{root}/{name}")
+        "--seed", str(seed), "--keep-samples", "--out", f"{root}/{name}")
 run("train", "--model", "ubg", "--train", f"{root}/train", "--test", f"{root}/test",
     "--epochs", "1", "--seed", "5", "--out", f"{root}/run")
-run("eval", "--checkpoint", f"{root}/run/checkpoint.json", "--data", f"{root}/test",
-    "--out", f"{root}/eval.json")
-run("baseline", "--method", "glasso", "--data", f"{root}/test", "--out", f"{root}/glasso.json")
+for command in ("eval", "diagnose"):
+    run(command, "--checkpoint", f"{root}/run/checkpoint.json", "--data", f"{root}/test",
+        "--out", f"{root}/{command}")
+for method in ("glasso", "glasso-cv", "lw", "oas"):
+    run("baseline", "--method", method, "--data", f"{root}/test",
+        "--out", f"{root}/{method}.json")
 inv = linalg.spd_inverse(np.array([[4.0, 2.0, 1.0], [2.0, 3.0, 0.5], [1.0, 0.5, 2.0]]))
 print(json.dumps([sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
                   inv.tobytes().hex()]))
@@ -172,8 +175,9 @@ print(json.dumps([sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
 
 
 def test_cli_runs_without_scipy(tmp_path):
-    """gen-data, train, eval and baseline glasso invert through numpy's
-    bundled OpenBLAS and never import scipy; the inverse keeps its bits."""
+    """Every command (gen-data, train, eval, diagnose and each baseline)
+    inverts through numpy's bundled OpenBLAS and never imports scipy; the
+    inverse keeps its bits."""
     if linalg._bundled_dtrtrs() is None:
         pytest.skip("numpy bundles no scipy-openblas here; the scipy fallback runs")
     loaded, inv = _fresh_python(_CLI_WITHOUT_SCIPY, tmp_path)
@@ -402,7 +406,7 @@ class TestStackFailures:
                 fn(np.ones(shape))
 
     def test_single_matrix_entry_points_reject_a_stack(self):
-        from spodnet import baselines, core, datagen
+        from spodnet import baselines, datagen
 
         stack = np.stack([np.eye(3), np.eye(3)])
         cfg = baselines.GlassoConfig()
@@ -413,7 +417,6 @@ class TestStackFailures:
             lambda: baselines.glasso_objective(np.eye(3), stack, 0.1),
             lambda: glasso_kkt_residual(stack, np.eye(3), 0.1),
             lambda: glasso_kkt_residual(np.eye(3), stack, 0.1),
-            lambda: core.bauer_fike_check(stack, stack, 1.0),
             lambda: datagen.sample_covariance(stack, 4, datagen.make_rng(0)),
         ]
         for call in calls:
