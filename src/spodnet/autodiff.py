@@ -104,7 +104,7 @@ class Tensor:
 class _Node:
     __slots__ = ("key", "inputs", "vjp")
 
-    def __init__(self, key: int, inputs: tuple, vjp: Callable):
+    def __init__(self, key: int, inputs: list, vjp: Callable):
         self.key = key
         self.inputs = inputs
         self.vjp = vjp
@@ -136,12 +136,13 @@ class Tape:
         return False
 
     def record(self, out: Tensor, inputs: tuple, vjp: Callable) -> None:
-        refs = tuple(None if not t.requires_grad
-                     else t.key if t.key in self._produced else t
-                     for t in inputs)
-        out.key = next(_KEYS)
-        self._produced.add(out.key)
-        self.nodes.append(_Node(out.key, refs, vjp))
+        produced = self._produced
+        refs = [None if not t.requires_grad
+                else t.key if t.key in produced else t
+                for t in inputs]
+        out.key = key = next(_KEYS)
+        produced.add(key)
+        self.nodes.append(_Node(key, refs, vjp))
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(leaf) into every reachable leaf's ``grad``.
@@ -186,7 +187,7 @@ def parameter(data) -> Tensor:
     return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
 
 
-def apply_op(out_data, inputs: Sequence[Tensor], vjp: Callable) -> Tensor:
+def apply_op(out_data, inputs: tuple[Tensor, ...], vjp: Callable) -> Tensor:
     """Wrap an op result, recording it on the active tape when it matters.
 
     ``vjp`` maps the output adjoint to a tuple of input adjoints aligned
@@ -195,11 +196,12 @@ def apply_op(out_data, inputs: Sequence[Tensor], vjp: Callable) -> Tensor:
     open, so inference-time forwards cost plain numpy.
     """
     out = Tensor(out_data)
-    if any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        tape = active_tape()
-        if tape is not None:
-            tape.record(out, tuple(inputs), vjp)
+    for t in inputs:
+        if t.requires_grad:
+            out.requires_grad = True
+            if _TAPES:
+                _TAPES[-1].record(out, inputs, vjp)
+            break
     return out
 
 
@@ -249,17 +251,23 @@ def scale(a: Tensor, c: float) -> Tensor:
     return apply_op(a.data * c, (a,), vjp)
 
 
-def quadratic_form(z: Tensor, m: Tensor) -> Tensor:
+def quadratic_form(z: Tensor, m: Tensor, zm: np.ndarray | None = None,
+                   mz: np.ndarray | None = None) -> Tensor:
     """Per-sample scalar z' M z of vectors ``(..., k)`` and matrices
-    ``(..., k, k)``, shape ``(...)``, with adjoints for both operands."""
+    ``(..., k, k)``, shape ``(...)``, with adjoints for both operands. A
+    caller that already holds z'M or Mz passes it as ``zm`` or ``mz``,
+    and neither is computed again."""
     zd, md = z.data, m.data
     if zd.ndim < 1 or md.shape != zd.shape + zd.shape[-1:]:
         raise ShapeError(f"quadratic_form: vector {zd.shape} against matrix {md.shape}")
 
-    # (z' M) z, the association the unbatched 1-D form z @ M @ z rounds in
-    zm = np.vecmat(zd, md)
+    if zm is None:
+        # (z' M) z, the association the unbatched 1-D form z @ M @ z rounds in
+        zm = np.vecmat(zd, md)
     # the adjoint needs (M + M') z, not M, so a tape does not keep M alive
-    sym_z = zm + np.matvec(md, zd) if recording() else None
+    sym_z = None
+    if recording():
+        sym_z = zm + (np.matvec(md, zd) if mz is None else mz)
     need_m = m.requires_grad
 
     def vjp(g):

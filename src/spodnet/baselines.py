@@ -141,8 +141,9 @@ def _update_block(theta: np.ndarray, w: np.ndarray, pivot: tuple, lam: float,
         if not moved:
             break
 
-    return (core.theta_plus_np(theta, i, x, v_target, m),
-            core.w_plus_np(m, x, v_target, i))
+    # mx is m x for the final x, which both identities take
+    return (core.theta_plus_np(theta, i, x, v_target, mx),
+            core.w_plus_np(m, mx, v_target, i))
 
 
 def glasso_solve(s, cfg: GlassoConfig) -> np.ndarray:

@@ -366,7 +366,7 @@ def _plain_parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     once per process: each build leaves a few hundred objects in reference
     cycles. The pre-parser reads ``--config`` only before the subcommand,
     and its ``rest`` is what follows the subcommand."""
-    pre = argparse.ArgumentParser(add_help=False)
+    pre = argparse.ArgumentParser(prog="spodnet", add_help=False)
     pre.add_argument("--config")
     pre.add_argument("command", nargs="?")
     pre.add_argument("rest", nargs=argparse.REMAINDER)
@@ -376,8 +376,8 @@ def _plain_parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     pre, parser = _plain_parsers()
-    known, _ = pre.parse_known_args(argv)
     try:
+        known, _ = pre.parse_known_args(argv)
         if known.config:
             at = len(argv) - len(known.rest)  # just after the subcommand
             argv[at:at] = _config_flags(
@@ -388,6 +388,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: --config: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SystemExit as exc:  # the pre-parser's usage error, e.g. no value
+        return int(exc.code)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

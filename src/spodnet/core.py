@@ -14,7 +14,11 @@ the matrix and its inverse from the same blocks.
 Each of the three block identities (reduced-block inverse, updated matrix,
 updated inverse) is computed by one numpy function, ``*_np``, which the
 glasso baseline also calls; the tape op of the same name without the
-suffix runs that function and carries its hand-written adjoint.
+suffix runs that function and carries its hand-written adjoint. An update
+forms u' inv(Theta_11) and inv(Theta_11) u once: the Schur quadratic reads
+the first, the updated pivot and inverse the second, and the adjoints of
+the quadratic and of the updated matrix their sum. So the identities take
+those products from their caller instead of multiplying again.
 
 Every function here takes matrices of shape ``(..., p, p)``: a stack of
 independent samples with a leading batch axis runs through the same code,
@@ -346,8 +350,9 @@ def theta11_inverse(w: Tensor, i: int) -> Tensor:
 
 
 def theta_plus_np(theta: np.ndarray, i: int, u: np.ndarray, v,
-                  theta11_inv: np.ndarray) -> np.ndarray:
-    """Write column/row ``i`` to ``u`` and pin the pivot diagonal so the
+                  mu: np.ndarray) -> np.ndarray:
+    """Write column/row ``i`` to ``u`` and pin the pivot diagonal to
+    ``v + u' mu``, with ``mu`` = inv(Theta_11) u from the caller, so the
     updated matrix has Schur margin exactly ``v`` (shape ``(...)``); SPD for
     any u, v > 0."""
     _check_margin(v)
@@ -355,20 +360,21 @@ def theta_plus_np(theta: np.ndarray, i: int, u: np.ndarray, v,
     out = theta.copy()
     out[..., rest, i] = u
     out[..., i, rest] = u
-    out[..., i, i] = v + np.vecdot(u, np.matvec(theta11_inv, u))
+    out[..., i, i] = v + np.vecdot(u, mu)
     return out
 
 
 def theta_plus(theta: Tensor, u: Tensor, v: Tensor, theta11_inv: Tensor,
-               i: int) -> Tensor:
-    """Tape op for :func:`theta_plus_np`; ``u`` fills both the row and the
+               i: int, um: np.ndarray, mu: np.ndarray) -> Tensor:
+    """Tape op for :func:`theta_plus_np`, given u' inv(Theta_11) and
+    inv(Theta_11) u as ``um`` and ``mu``; ``u`` fills both the row and the
     column, so its adjoint collects both sides plus the pivot's quadratic."""
-    ud, md = u.data, theta11_inv.data
+    ud = u.data
     vshape = v.data.shape
-    out = theta_plus_np(theta.data, i, ud, v.data.reshape(theta.data.shape[:-2]), md)
+    out = theta_plus_np(theta.data, i, ud, v.data.reshape(theta.data.shape[:-2]), mu)
     rest = linalg.rest_indices(out.shape[-1], i)
     # the adjoint needs (M + M') u, not M, so a tape does not keep M alive
-    sym_u = np.matvec(md, ud) + np.vecmat(ud, md) if ad.recording() else None
+    sym_u = um + mu if ad.recording() else None
     need_m = theta11_inv.requires_grad
 
     def vjp(g):
@@ -383,13 +389,13 @@ def theta_plus(theta: Tensor, u: Tensor, v: Tensor, theta11_inv: Tensor,
     return apply_op(out, (theta, u, v, theta11_inv), vjp)
 
 
-def w_plus_np(theta11_inv: np.ndarray, u: np.ndarray, v, i: int) -> np.ndarray:
-    """Inverse of the updated matrix from the same blocks, in O(p^2)."""
+def w_plus_np(theta11_inv: np.ndarray, mu: np.ndarray, v, i: int) -> np.ndarray:
+    """Inverse of the updated matrix from the same blocks, in O(p^2), with
+    ``mu`` = inv(Theta_11) u from the caller."""
     _check_margin(v)
     v = np.asarray(v)[()]  # a scalar when unbatched, as w22 above
     p = theta11_inv.shape[-1] + 1
     rest = linalg.rest_indices(p, i)
-    mu = np.matvec(theta11_inv, u)
     col = -mu / v[..., None]
     block = mu[..., :, None] * mu[..., None, :]
     block /= v[..., None, None]
@@ -402,17 +408,18 @@ def w_plus_np(theta11_inv: np.ndarray, u: np.ndarray, v, i: int) -> np.ndarray:
     return out
 
 
-def w_plus(theta11_inv: Tensor, u: Tensor, v: Tensor, i: int) -> Tensor:
-    """Tape op for :func:`w_plus_np`."""
+def w_plus(theta11_inv: Tensor, u: Tensor, v: Tensor, i: int,
+           mu: np.ndarray) -> Tensor:
+    """Tape op for :func:`w_plus_np`, given ``mu`` = inv(Theta_11) u; the
+    adjoint carries the chain through ``mu`` back to ``u`` and the block."""
     md, ud = theta11_inv.data, u.data
     vshape = v.data.shape
     vval = v.data.reshape(md.shape[:-2])
-    out = w_plus_np(md, ud, vval, i)
+    out = w_plus_np(md, mu, vval, i)
     p = out.shape[-1]
     rest = linalg.rest_indices(p, i)
 
     def vjp(g):
-        mu = np.matvec(md, ud)
         g11 = _block11(g, i)
         gcol = _col(g, i, rest) + _row(g, i, rest)
         dmu = (np.matvec(g11 + g11.mT, mu) - gcol) / vval[..., None]
@@ -509,10 +516,12 @@ def spodnet_layer(state: SpdState, fns: UpdateFns, cfg: LayerConfig,
     sd = np.asarray(s, dtype=np.float64)
     p = state.p
     batch = state.theta.data.shape[:-2]
-    # replayed passes keep the inverse as plain numbers regardless of mode
+    # replayed passes keep the inverse as plain numbers regardless of mode;
+    # otherwise detached mode keeps it as an array, read without tape ops
     use_tape_w = cfg.tape_mode == "full" and w_replay is None
     theta = state.theta
-    w = state.w if use_tape_w else Tensor(state.w.data)
+    w = state.w if use_tape_w else None
+    wd = state.w.data
 
     for i in range(p):
         rest = linalg.rest_indices(p, i)
@@ -520,9 +529,12 @@ def spodnet_layer(state: SpdState, fns: UpdateFns, cfg: LayerConfig,
             rec_inv, rec_w12 = w_replay[i]
             t11inv = Tensor(rec_inv)
             w12 = Tensor(rec_w12)
-        else:
+        elif use_tape_w:
             t11inv = theta11_inverse(w, i)
             w12 = col_off(w, i)
+        else:
+            t11inv = Tensor(theta11_inverse_np(wd, i))
+            w12 = Tensor(_col(wd, i, rest))
 
         theta_before = theta.data if hook is not None else None
         ctx = ColumnContext(
@@ -537,20 +549,27 @@ def spodnet_layer(state: SpdState, fns: UpdateFns, cfg: LayerConfig,
             stabilize=cfg.stabilize,
         )
         u = fns.f(ctx)
-        v = fns.g(ctx, u, ad.quadratic_form(u, t11inv))
+        # u' M and M u, each computed once: the Schur quadratic reads the
+        # first, the pivot and W+ the second, and both adjoints their sum
+        md, ud = t11inv.data, u.data
+        um, mu = np.vecmat(ud, md), np.matvec(md, ud)
+        v = fns.g(ctx, u, ad.quadratic_form(u, t11inv, um, mu))
         vval = v.data.reshape(batch)
         _require(np.isfinite(vval) & (vval > 0.0),
                  lambda j: f"margin v = {float(vval.reshape(-1)[j])!r} at pivot {i} "
                            "is not positive")
-        theta = theta_plus(theta, u, v, t11inv, i)
-        w = (w_plus(t11inv, u, v, i) if use_tape_w
-             else Tensor(w_plus_np(t11inv.data, u.data, vval, i)))
+        theta = theta_plus(theta, u, v, t11inv, i, um, mu)
+        if use_tape_w:
+            w = w_plus(t11inv, u, v, i, mu)
+            wd = w.data
+        else:
+            wd = w_plus_np(md, mu, vval, i)
 
         if hook is not None:
-            hook(UpdateEvent(layer_index, i, theta_before, theta.data, w.data,
-                             t11inv.data, w12.data, vval))
+            hook(UpdateEvent(layer_index, i, theta_before, theta.data, wd,
+                             md, w12.data, vval))
 
-    return SpdState(theta=theta, w=w)
+    return SpdState(theta=theta, w=w if use_tape_w else Tensor(wd))
 
 
 def initial_state(s: np.ndarray) -> SpdState:

@@ -98,34 +98,35 @@ class Mlp:
         else:
             raise ad.ShapeError("Mlp expects per-sample scalars of one shape, "
                                 f"got {[t.data.shape for t in xs]}")
-        ws = [w.data for w in self.weights]
+        weights, biases = self.weights, self.biases
         abs_head = self.spec.out_activation == "abs"
         inputs, pre = [x], None
-        for w, b in zip(ws, self.biases):
+        for w, b in zip(weights, biases):
             if pre is not None:
                 inputs.append(np.maximum(pre, 0.0))
-            pre = np.matvec(w, inputs[-1]) + b.data
+            pre = np.matvec(w.data, inputs[-1]) + b.data
 
         def vjp(g):
             if abs_head:
                 g = g * np.sign(pre)
-            dparams = []
-            for k in range(len(ws) - 1, -1, -1):
+            dws, dbs = [None] * len(weights), [None] * len(weights)
+            for k in range(len(weights) - 1, -1, -1):
                 # rows are samples; one product sums the batch's outer products
                 g2 = g.reshape(-1, g.shape[-1])
-                dparams[:0] = (g2.T @ inputs[k].reshape(-1, inputs[k].shape[-1]),
-                               g2.sum(axis=0))
-                g = np.vecmat(g, ws[k])
+                dws[k] = g2.T @ inputs[k].reshape(-1, inputs[k].shape[-1])
+                dbs[k] = g2.sum(axis=0)
+                g = np.vecmat(g, weights[k].data)
                 if k:
                     # a hidden input is positive exactly where its ReLU passes
                     g = g * (inputs[k] > 0.0)
             dxs = (g,) if len(xs) == 1 else tuple(g[..., j] for j in range(len(xs)))
-            return (*dxs, *dparams)
+            return (*dxs, *dws, *dbs)
 
         out = np.abs(pre) if abs_head else pre
         if self.spec.floor:
             out = out + self.spec.floor
-        return ad.apply_op(out, (*xs, *self.tensors()), vjp)
+        # the op's inputs: the features, every weight, then every bias
+        return ad.apply_op(out, (*xs, *weights, *biases), vjp)
 
     def tensors(self) -> list[Tensor]:
         out = []

@@ -2,8 +2,11 @@
 
 Training is deterministic under a pinned seed: the epoch shuffles come from
 one seeded counter-based stream. Each minibatch is stacked on a leading
-batch axis and runs as one forward pass and one tape, and evaluation
-forwards ``EVAL_CHUNK`` matrices at a time the same way.
+batch axis and runs as one forward pass and one tape. Evaluation forwards
+and scores stacks sized in bytes the same way: :func:`eval_stack_size`
+matrices of ``EVAL_BYTES`` at a time, so small matrices share each
+per-pivot numpy call among many samples and large ones keep the stack's
+memory bounded. A report is bit-identical at every stack size.
 
 :func:`score_stack` is the one scorer: ``eval``, every baseline and the
 per-epoch metrics of :func:`train` read their figures from it.
@@ -26,6 +29,7 @@ __all__ = [
     "MetricsRow",
     "TrainConfig",
     "adam_step",
+    "eval_stack_size",
     "evaluate",
     "forward_chunks",
     "mse_loss",
@@ -37,11 +41,10 @@ __all__ = [
 ]
 
 ZERO_TOL = 1e-8
-# matrices per eval/diagnose forward: enough that the per-pivot numpy calls
-# are shared by many samples. It matches the default training minibatch, so
-# evaluation after each epoch reuses heap blocks of the sizes training
-# freed; a chunk of 20 raised a p=20 training run's peak RSS by 0.4 MB.
-EVAL_CHUNK = 10
+# bytes of one eval/diagnose stack of float64 matrices: 10 at p=100, whose
+# forward is bound by its O(p^2) block algebra, and 250 at p=20, whose pivot
+# loop is bound by the interpreter, so a larger stack shares its calls
+EVAL_BYTES = 10 * 100 * 100 * 8
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -155,17 +158,24 @@ def score_stack(estimates, truths) -> dict[str, np.ndarray]:
     }
 
 
+def eval_stack_size(p: int) -> int:
+    """Matrices of order ``p`` per eval/diagnose stack: as many as fit in
+    ``EVAL_BYTES``, and at least one."""
+    return max(1, EVAL_BYTES // (8 * p * p))
+
+
 def score_estimates(entries, estimates) -> dict:
     """Per-sample rows plus aggregates for one estimate per entry, scored by
-    :func:`score_stack` ``EVAL_CHUNK`` estimates at a time, so no copy of
-    all of them is made at once."""
+    :func:`score_stack` in stacks of :func:`eval_stack_size` estimates, so
+    no copy of all of them is made at once."""
     estimates = list(estimates)
     if not estimates or len(estimates) != len(entries):
         raise ValueError(f"need one estimate per entry, got {len(estimates)} "
                          f"for {len(entries)} entries")
-    chunks = [score_stack(estimates[start:start + EVAL_CHUNK],
-                          [e.theta_true for e in entries[start:start + EVAL_CHUNK]])
-              for start in range(0, len(estimates), EVAL_CHUNK)]
+    size = eval_stack_size(np.shape(estimates[0])[-1])
+    chunks = [score_stack(estimates[start:start + size],
+                          [e.theta_true for e in entries[start:start + size]])
+              for start in range(0, len(estimates), size)]
     scores = {key: np.concatenate([c[key] for c in chunks]) for key in chunks[0]}
     rows = [{"sample_id": idx, **{key: float(v[idx]) for key, v in scores.items()},
              "spd": bool(scores["min_eig"][idx] > 0.0)}
@@ -183,11 +193,13 @@ def score_estimates(entries, estimates) -> dict:
 
 def forward_chunks(params: models.ModelParams, entries, cfg: core.LayerConfig,
                    hook=None):
-    """Forward the entries without taping, ``EVAL_CHUNK`` at a time as one
-    batch, yielding each chunk's first index and its forward output; an
+    """Forward the entries without taping, in stacks of
+    :func:`eval_stack_size` entries, each as one batch, yielding each
+    chunk's first index and its forward output; an
     :class:`core.SpdViolation` names the sample it arose in."""
-    for start in range(0, len(entries), EVAL_CHUNK):
-        chunk = entries[start:start + EVAL_CHUNK]
+    size = eval_stack_size(params.p)
+    for start in range(0, len(entries), size):
+        chunk = entries[start:start + size]
         try:
             out = models.forward(np.stack([e.s for e in chunk]), params, cfg,
                                  hook=hook)

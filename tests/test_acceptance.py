@@ -85,7 +85,7 @@ class TestCriterion1:
                 u = rng.standard_normal(p - 1)
                 u *= 10.0 ** rng.uniform(-3, 3) / max(np.linalg.norm(u), 1e-300)
                 v = float(10.0 ** rng.uniform(-6, 1))
-                plus = core.theta_plus_np(theta, i, u, v, t11inv)
+                plus = core.theta_plus_np(theta, i, u, v, t11inv @ u)
                 try:
                     np.linalg.cholesky(plus)
                 except np.linalg.LinAlgError:

@@ -157,8 +157,10 @@ def _reference_update_block(theta, w, sd, i, cfg):
         if not moved:
             break
 
-    return (core.theta_plus_np(theta, i, x, v_target, m),
-            core.w_plus_np(m, x, v_target, i))
+    # the product again, by np.matvec, where the solver reuses its mx
+    mu = np.matvec(m, x)
+    return (core.theta_plus_np(theta, i, x, v_target, mu),
+            core.w_plus_np(m, mu, v_target, i))
 
 
 def _reference_solve(s, cfg, objective_trace):
@@ -182,7 +184,9 @@ def _reference_solve(s, cfg, objective_trace):
 
 
 class TestSolverMatchesReferenceLoop:
-    @pytest.mark.parametrize("p", [2, 8, 20])
+    # at p=40 the solver's ndarray.dot products, which the reference
+    # takes by np.matvec, have 39 terms: several of BLAS's unrolled blocks
+    @pytest.mark.parametrize("p", [2, 8, 20, 40])
     @pytest.mark.parametrize("lam_of_top", [0.0, 0.3, 1.5],
                              ids=["zero", "mid", "above-max"])
     def test_bit_identical_estimate_trace_and_steps(self, monkeypatch, p,

@@ -423,7 +423,7 @@ class TestDiagnose:
         out = tmp_path / "diag"
         # 2 does not divide the 3 samples: they are forwarded as two stacks,
         # and a chunk boundary falls between samples 1 and 2
-        monkeypatch.setattr(training, "EVAL_CHUNK", 2)
+        monkeypatch.setattr(training, "EVAL_BYTES", 2 * 8 * 6 * 6)
         code = main(["diagnose", "--checkpoint",
                      str(trained / "checkpoint.json"), "--data", str(test),
                      "--out", str(out)])
@@ -579,6 +579,13 @@ class TestConfigFile:
                      "--out", str(tmp_path / "override")]) == 0
         ds2 = datagen.load_dataset(tmp_path / "override")
         assert ds2.config.seed == 4
+
+    def test_config_without_a_value_exits_2(self, capsys):
+        # returned, not raised: an in-process caller gets the exit code
+        assert main(["--config"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: spodnet ")
+        assert "--config: expected one argument" in err
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         # "sed" names no option; "lr" names one of train, which gen-data

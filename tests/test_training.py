@@ -280,31 +280,50 @@ class TestMinibatch:
             models.forward(entries[exc.value.sample].s, params, LayerConfig())
 
 
+def _budget(monkeypatch, matrices: int, p: int) -> None:
+    """Set the eval byte budget to ``matrices`` matrices of order ``p``."""
+    monkeypatch.setattr(training, "EVAL_BYTES", matrices * 8 * p * p)
+    assert training.eval_stack_size(p) == matrices
+
+
 class TestEvaluate:
+    def test_stack_size_from_the_budget(self):
+        assert [training.eval_stack_size(p) for p in (6, 20, 100)] == [2777, 250, 10]
+        # a matrix larger than the budget still forwards, one per stack
+        assert training.eval_stack_size(1000) == 1
+
     def test_chunks_match_one_forward_per_sample(self, monkeypatch):
         ds = _dataset(num=5)
         params = models.init_params("ubg", 10, seed=0)
-        monkeypatch.setattr(training, "EVAL_CHUNK", 2)
+        _budget(monkeypatch, 2, 10)
         report = evaluate(params, ds.entries, LayerConfig())
         singles = [models.forward(e.s, params, LayerConfig()).theta.data
                    for e in ds.entries]
-        expected = training.score_estimates(ds.entries, singles)
-        for got, want in zip(report["samples"], expected["samples"]):
-            for key in ("nmse", "min_eig", "cond"):
-                assert abs(got[key] - want[key]) <= 1e-12 * abs(want[key])
-            assert got["f1"] == want["f1"] and got["density"] == want["density"]
+        assert report == training.score_estimates(ds.entries, singles)
+
+    @pytest.mark.parametrize("variant,layers", [("ubg", 1), ("pnp", 2)])
+    def test_report_is_bit_identical_at_every_budget(self, monkeypatch, variant,
+                                                     layers):
+        ds = _dataset(num=7)
+        params = models.init_params(variant, 10, seed=2)
+        cfg = LayerConfig(num_layers=layers)
+        reports = []
+        for matrices in (1, 3, 7):  # one matrix, a few, all of them
+            _budget(monkeypatch, matrices, 10)
+            reports.append(evaluate(params, ds.entries, cfg))
+        assert reports[0] == reports[1] == reports[2]
 
     @pytest.mark.parametrize("chunk", [1, 32])
     def test_violation_names_the_sample_in_any_chunk(self, monkeypatch, chunk):
         entries, params = _repro()
-        monkeypatch.setattr(training, "EVAL_CHUNK", chunk)
+        _budget(monkeypatch, chunk, 8)
         with pytest.raises(core.SpdViolation, match="^sample 1: layer 0: "):
             evaluate(params, entries, LayerConfig())
 
     def test_scoring_needs_one_estimate_per_entry(self, monkeypatch):
         # fewer estimates than entries, a whole number of chunks of them
         ds = _dataset(num=4)
-        monkeypatch.setattr(training, "EVAL_CHUNK", 2)
+        _budget(monkeypatch, 2, 10)
         truths = [e.theta_true for e in ds.entries]
         for estimates in (truths[:2], truths + truths[:1], []):
             with pytest.raises(ValueError, match="one estimate per entry"):
