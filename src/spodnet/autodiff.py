@@ -1,8 +1,9 @@
 """Float64 tensors with tape-based reverse-mode differentiation.
 
-A deliberately small engine, holding only the ops the models compose:
-``sub``, ``mul``, ``scale``, ``quadratic_form``, ``soft_threshold`` and
-``Tensor.sum``. Larger maps (each MLP call, the gradient step, the
+A deliberately small engine, holding only the ops its callers compose:
+the layer's ``quadratic_form``, the column map's ``soft_threshold``, and
+``sub``, ``mul``, ``scale`` and ``Tensor.sum``, which only the training
+loss uses. Larger maps (each MLP call, the gradient step, the
 stabilizer, the block identities) are single ops built with ``apply_op``:
 a numpy forward plus a hand-written adjoint.
 

@@ -10,14 +10,17 @@ Three column maps trade inductive bias for expressivity:
 * ``e2e`` predicts the new column directly from the current one, with no
   gradient-step structure at all.
 
-All three end in an elementwise soft-threshold, so outputs carry exact
-zeros, and all can rescale the pre-threshold vector so that its quadratic
-form under the reduced-block inverse equals the configured ``zeta``. The
-margin network ``g`` reads the pivot diagonal, the matching covariance
-diagonal and the updated Schur quadratic form, and is kept strictly
-positive by an absolute-value output plus a tiny floor, ``G_FLOOR``. The
-floor is a field of the g net's :class:`MlpSpec`, fixed by
-:func:`init_params`, so the net's one tape op adds it.
+All three are one map, :func:`column_map`. It takes the gradient step
+(``theta12`` for e2e) through the variant's denoiser net, if any, and
+the stabilizer, unless it is off, which rescales it so that its quadratic
+form under the reduced-block inverse equals the configured ``zeta``. An
+elementwise soft-threshold by the lambda net's output ends it, so outputs
+carry exact zeros. The margin network ``g`` reads the pivot diagonal, the
+matching covariance diagonal and the updated Schur quadratic form, and is
+kept strictly positive by an absolute-value output plus a tiny floor,
+``G_FLOOR``. The lambda net's output scale and the g net's floor are both
+fields of their net's :class:`MlpSpec`, so each net's one tape op applies
+them.
 """
 
 from __future__ import annotations
@@ -40,9 +43,7 @@ __all__ = [
     "MlpSpec",
     "ModelParams",
     "VARIANTS",
-    "f_e2e",
-    "f_pnp",
-    "f_ubg",
+    "column_map",
     "forward",
     "g_eval",
     "init_params",
@@ -56,15 +57,14 @@ G_FLOOR = 1e-8
 CHECKPOINT_TAG = "SPODNET-CKPT-1"
 
 _NET_ORDER = ("gamma", "lambda", "psi", "phi", "g")
-# the lambda net's output is scaled by this before it thresholds
-_LAMBDA_SCALE = {"ubg": 1.0, "pnp": 0.1, "e2e": 0.1}
 
 
 @dataclass(frozen=True)
 class MlpSpec:
     widths: tuple[int, ...]
     out_activation: str = "identity"  # "identity" or "abs"
-    floor: float = 0.0  # added after the output activation
+    scale: float = 1.0  # multiplies the output activation
+    floor: float = 0.0  # added after the scale
 
 
 class Mlp:
@@ -76,8 +76,8 @@ class Mlp:
     runs through the same weights, and the adjoint sums the weight and bias
     gradients over the batch. The numpy forward keeps every layer's input
     and the output pre-activation; the hand-written adjoint runs back
-    through the ``abs`` head's sign and the ReLU masks, both of which pass
-    0 at their kink.
+    through the output scale, the ``abs`` head's sign and the ReLU masks,
+    both of which pass 0 at their kink.
     """
 
     def __init__(self, spec: MlpSpec, rng: np.random.Generator):
@@ -100,6 +100,7 @@ class Mlp:
                                 f"got {[t.data.shape for t in xs]}")
         weights, biases = self.weights, self.biases
         abs_head = self.spec.out_activation == "abs"
+        scale = self.spec.scale
         inputs, pre = [x], None
         for w, b in zip(weights, biases):
             if pre is not None:
@@ -107,6 +108,8 @@ class Mlp:
             pre = np.matvec(w.data, inputs[-1]) + b.data
 
         def vjp(g):
+            if scale != 1.0:
+                g = g * scale
             if abs_head:
                 g = g * np.sign(pre)
             dws, dbs = [None] * len(weights), [None] * len(weights)
@@ -123,16 +126,15 @@ class Mlp:
             return (*dxs, *dws, *dbs)
 
         out = np.abs(pre) if abs_head else pre
+        if scale != 1.0:
+            out = out * scale
         if self.spec.floor:
             out = out + self.spec.floor
         # the op's inputs: the features, every weight, then every bias
         return ad.apply_op(out, (*xs, *weights, *biases), vjp)
 
     def tensors(self) -> list[Tensor]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
+        return [t for pair in zip(self.weights, self.biases) for t in pair]
 
 
 @dataclass
@@ -144,13 +146,11 @@ class ModelParams:
 
     def named_tensors(self) -> list[tuple[str, Tensor]]:
         out = []
-        for net_name in _NET_ORDER:
-            net = self.nets.get(net_name)
-            if net is None:
-                continue
-            for li, (w, b) in enumerate(zip(net.weights, net.biases)):
-                out.append((f"{net_name}.w{li}", w))
-                out.append((f"{net_name}.b{li}", b))
+        for name in _NET_ORDER:
+            if name in self.nets:
+                net = self.nets[name]
+                for li, (w, b) in enumerate(zip(net.weights, net.biases)):
+                    out += [(f"{name}.w{li}", w), (f"{name}.b{li}", b)]
         return out
 
     def tensors(self) -> list[Tensor]:
@@ -158,11 +158,16 @@ class ModelParams:
 
 
 def _net_specs(variant: str, p: int) -> dict[str, MlpSpec]:
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+    if p < 2:
+        raise ValueError("p must be >= 2")
     k = p - 1
     specs = {
         "gamma": MlpSpec((k, p // 2, 1), "abs"),
-        "lambda": MlpSpec((k, 5, k), "abs"),
-        "g": MlpSpec((3, 3, 3, 1), "abs", G_FLOOR),
+        # pnp and e2e threshold by a tenth of the lambda net's raw output
+        "lambda": MlpSpec((k, 5, k), "abs", scale=1.0 if variant == "ubg" else 0.1),
+        "g": MlpSpec((3, 3, 3, 1), "abs", floor=G_FLOOR),
     }
     if variant == "pnp":
         specs["psi"] = MlpSpec((k, 2 * p, k))
@@ -174,12 +179,8 @@ def _net_specs(variant: str, p: int) -> dict[str, MlpSpec]:
 def init_params(variant: str, p: int, seed: int) -> ModelParams:
     """Fan-in uniform weights, zero biases; bitwise deterministic in seed."""
     variant = str(variant).lower()
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    if p < 2:
-        raise ValueError("p must be >= 2")
-    rng = datagen.make_rng(seed)
     specs = _net_specs(variant, p)
+    rng = datagen.make_rng(seed)
     nets = {name: Mlp(specs[name], rng) for name in _NET_ORDER if name in specs}
     return ModelParams(variant=variant, p=p, seed=seed, nets=nets)
 
@@ -207,36 +208,18 @@ def _grad_step(ctx: core.ColumnContext, params: ModelParams) -> Tensor:
                        (ctx.theta12, gamma, ctx.s12, ctx.w12), vjp)
 
 
-def _maybe_stabilize(z: Tensor, ctx: core.ColumnContext) -> Tensor:
+def column_map(ctx: core.ColumnContext, params: ModelParams) -> Tensor:
+    """The new column: the gradient step x (``theta12`` for e2e), or the
+    variant's denoiser net of x (pnp's psi, e2e's phi), stabilized if
+    ``ctx.stabilize``, then soft-thresholded by the lambda net of x."""
+    nets = params.nets
+    x = ctx.theta12 if params.variant == "e2e" else _grad_step(ctx, params)
+    lam = nets["lambda"](x)
+    denoiser = nets.get("psi", nets.get("phi"))
+    z = x if denoiser is None else denoiser(x)
     if ctx.stabilize:
-        return core.stabilize_preactivation(z, ctx.theta11_inv, ctx.zeta)
-    return z
-
-
-def _scaled_lambda(lam: Tensor, params: ModelParams) -> Tensor:
-    scale = _LAMBDA_SCALE[params.variant]
-    if scale == 1.0:
-        return lam
-    return ad.scale(lam, scale)
-
-
-def f_ubg(ctx: core.ColumnContext, params: ModelParams) -> Tensor:
-    step = _grad_step(ctx, params)
-    lam = params.nets["lambda"](step)
-    return ad.soft_threshold(_maybe_stabilize(step, ctx), _scaled_lambda(lam, params))
-
-
-def f_pnp(ctx: core.ColumnContext, params: ModelParams) -> Tensor:
-    step = _grad_step(ctx, params)
-    lam = params.nets["lambda"](step)
-    z = params.nets["psi"](step)
-    return ad.soft_threshold(_maybe_stabilize(z, ctx), _scaled_lambda(lam, params))
-
-
-def f_e2e(ctx: core.ColumnContext, params: ModelParams) -> Tensor:
-    lam = params.nets["lambda"](ctx.theta12)
-    z = params.nets["phi"](ctx.theta12)
-    return ad.soft_threshold(_maybe_stabilize(z, ctx), _scaled_lambda(lam, params))
+        z = core.stabilize_preactivation(z, ctx.theta11_inv, ctx.zeta)
+    return ad.soft_threshold(z, lam)
 
 
 def g_eval(theta22: Tensor, s22: Tensor, schur_quad: Tensor,
@@ -250,14 +233,9 @@ def g_eval(theta22: Tensor, s22: Tensor, schur_quad: Tensor,
     return params.nets["g"](theta22, s22, schur_quad)
 
 
-_F_BY_VARIANT = {"ubg": f_ubg, "pnp": f_pnp, "e2e": f_e2e}
-
-
 def make_update_fns(params: ModelParams) -> core.UpdateFns:
-    f_impl = _F_BY_VARIANT[params.variant]
-
     def f(ctx):
-        return f_impl(ctx, params)
+        return column_map(ctx, params)
 
     def g(ctx, u, schur_quad):
         return g_eval(ctx.theta22, ctx.s22, schur_quad, params)
@@ -317,24 +295,33 @@ def load_checkpoint(path) -> tuple[ModelParams, core.LayerConfig]:
     if tag != CHECKPOINT_TAG:
         raise ValueError(f"unrecognized checkpoint format tag {tag!r}")
     try:
-        params = init_params(doc["variant"], _header(doc, "p", int),
-                             _header(doc, "seed", int))
-        remaining = dict(params.named_tensors())
+        variant = str(doc["variant"]).lower()
+        p, seed = _header(doc, "p", int), _header(doc, "seed", int)
+        # every record is checked against the shapes the header implies
+        # before init_params draws a weight, so a corrupt p allocates nothing
+        shapes = {f"{name}.{kind}{li}": shape
+                  for name, spec in _net_specs(variant, p).items()
+                  for li, (fan_in, fan_out) in enumerate(zip(spec.widths, spec.widths[1:]))
+                  for kind, shape in (("w", (fan_out, fan_in)), ("b", (fan_out,)))}
+        arrays = {}
         for rec in doc["params"]:
             name = rec["name"]
-            if name not in remaining:
+            if name not in shapes or name in arrays:
                 raise ValueError(f"unexpected parameter {name!r} in checkpoint")
-            t = remaining.pop(name)
             arr = np.frombuffer(base64.b64decode(rec["data"]), dtype="<f8")
             arr = arr.reshape([int(d) for d in rec["shape"]])
-            if arr.shape != t.data.shape:
+            if arr.shape != shapes[name]:
                 raise ValueError(f"shape mismatch for {name!r}: "
-                                 f"{arr.shape} vs {t.data.shape}")
+                                 f"{arr.shape} vs {shapes[name]}")
             if not np.isfinite(arr).all():
                 raise ValueError(f"parameter {name!r} has non-finite values")
-            t.data[...] = arr
-        if remaining:
-            raise ValueError(f"checkpoint is missing parameters: {sorted(remaining)}")
+            arrays[name] = arr
+        if len(arrays) < len(shapes):
+            raise ValueError("checkpoint is missing parameters: "
+                             f"{sorted(shapes.keys() - arrays.keys())}")
+        params = init_params(variant, p, seed)
+        for name, t in params.named_tensors():
+            t.data[...] = arrays[name]
         cfg = core.LayerConfig(
             zeta=float(_header(doc, "zeta", (int, float))),
             num_layers=_header(doc, "num_layers", int),

@@ -356,7 +356,7 @@ class TestCriterion7:
                 i=8, theta12=Tensor(theta12), theta22=Tensor(1.0),
                 s12=Tensor(s12), s22=Tensor(1.0), w12=Tensor(w12),
                 theta11_inv=Tensor(np.eye(8)), zeta=1.0, stabilize=False)
-            u = models.f_ubg(ctx, params)
+            u = models.column_map(ctx, params)
             oracle = baselines.block_gista_step(theta12, s12, w12, gamma, lam)
             worst = max(worst, float(np.abs(u.data - oracle).max()))
         assert worst <= 1e-12

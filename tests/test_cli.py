@@ -252,6 +252,19 @@ class TestCheckpointHeader:
         assert code == 2
         assert repr(field) in capsys.readouterr().err
 
+    def test_huge_p_exits_2_before_drawing_weights(self, tmp_path, small_data,
+                                                   trained, capsys):
+        # nets for p = 10**7 would take hundreds of TiB: the recorded shapes
+        # are checked against the header's before any weight is drawn
+        _, test = small_data
+        doc = json.loads((trained / "checkpoint.json").read_text())
+        doc["p"] = 10 ** 7
+        ckpt = _write_checkpoint(tmp_path / "huge.json", doc)
+        code = main(["eval", "--checkpoint", ckpt, "--data", str(test),
+                     "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert "shape mismatch for 'gamma.w0'" in capsys.readouterr().err
+
 
 class TestSpdViolation:
     def test_eval_and_diagnose_name_the_sample(self, tmp_path, capsys):

@@ -157,6 +157,47 @@ class TestAssembleWPlus:
             assert np.abs(tp @ wp - np.eye(10)).max() <= 1e-10
 
 
+class TestScaleCovariance:
+    """The block algebra is homogeneous of degree one: Theta/c, cW, u/c and
+    v/c give the c = 1 outputs scaled, inv(Theta_11) and W+ by c and Theta+
+    by 1/c, for each block identity and for one layer pass with fixed maps.
+    A power of two scales without rounding, so its match is bit for bit.
+    Otherwise each identity matches to ``rtol``; the layer chains p
+    updates, whose roundings grow with the conditioning, so its bound is
+    ``rtol`` times the condition number of its Theta."""
+
+    P, B = 7, 3
+
+    def _outputs(self, c):
+        """inv(Theta_11), Theta+ and W+ at every pivot, then one layer's
+        Theta and W, each as (its degree in c, the array, its error scale)."""
+        rng = np.random.default_rng(31)
+        theta = np.stack([_random_spd(rng, self.P) for _ in range(self.B)])
+        w = np.linalg.inv(theta)
+        us = rng.standard_normal((self.P, self.B, self.P - 1)) / c
+        vs = rng.uniform(0.5, 2.0, (self.P, self.B)) / c
+        theta, w = theta / c, c * w
+        out = []
+        for i in range(self.P):
+            m = theta11_inverse_np(w, i)
+            mu = np.matvec(m, us[i])
+            out += [(1, m, 1.0), (-1, theta_plus_np(theta, i, us[i], vs[i], mu), 1.0),
+                    (1, core.w_plus_np(m, mu, vs[i], i), 1.0)]
+        fns = UpdateFns(f=lambda ctx: Tensor(us[ctx.i]),
+                        g=lambda ctx, u, q: Tensor(vs[ctx.i]))
+        state = core.spodnet_layer(SpdState(Tensor(theta), Tensor(w)), fns,
+                                   LayerConfig(), np.zeros((self.B, self.P, self.P)))
+        cond = float(np.linalg.cond(state.theta.data).max())
+        return out + [(-1, state.theta.data, cond), (1, state.w.data, cond)]
+
+    @pytest.mark.parametrize("c,rtol", [(2.0 ** 20, 0.0), (2.0 ** -20, 0.0),
+                                        (1e6, 1e-15), (1e-6, 1e-15), (3.0, 1e-15)])
+    def test_outputs_scale_with_the_inputs(self, c, rtol):
+        for (degree, want, cond), (_, got, _) in zip(self._outputs(1.0), self._outputs(c)):
+            want = want * c if degree == 1 else want / c
+            assert np.abs(got - want).max() <= rtol * cond * np.abs(want).max()
+
+
 def _per_sample_close(batched, single_fn, batch, rtol=1e-12):
     """Each sample of a batched result against the unbatched function."""
     for b in np.ndindex(*batch):

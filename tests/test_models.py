@@ -194,6 +194,28 @@ class TestFusedOps:
             lambda: ad.mul(g_eval(theta22, s22, quad, params), Tensor(cot)).sum(), leaves)
         assert err <= 1e-7
 
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_lambda_scale(self, batch):
+        # pnp's lambda net scales its output by 0.1 inside its op, as a
+        # separate scale op on the unscaled net's output would
+        rng = np.random.default_rng(13)
+        net = init_params("pnp", 6, seed=1).nets["lambda"]
+        for b in net.biases:  # keep every pre-activation off the kinks
+            b.data[...] = rng.standard_normal(b.data.shape)
+        bare = models.Mlp(replace(net.spec, scale=1.0), rng)
+        bare.weights, bare.biases = net.weights, net.biases
+        x = ad.parameter(rng.standard_normal(batch + (5,)))
+        leaves = [x, *net.tensors()]
+        cot = rng.standard_normal(batch + (5,))
+        out, grads, nodes = _run(lambda: net(x), leaves, cot)
+        ref_out, ref_grads, ref_nodes = _run(lambda: ad.scale(bare(x), 0.1), leaves, cot)
+        assert net.spec.scale == 0.1
+        assert np.array_equal(out, ref_out)
+        _assert_bit_equal(grads, ref_grads)
+        assert (nodes, ref_nodes) == (1, 2)
+        err = finite_diff_check(lambda: ad.mul(net(x), Tensor(cot)).sum(), leaves)
+        assert err <= 1e-7
+
     # healthy inits: the margin net starts off its floor on these samples
     @pytest.mark.parametrize("variant,seed", [("ubg", 2), ("pnp", 3)])
     @pytest.mark.parametrize("mode", ["detached", "full"])
@@ -218,20 +240,28 @@ class TestFusedOps:
         monkeypatch.setattr(models, "g_eval", _composed_g_eval)
         _assert_bit_equal(fused, run())
 
-    # per pivot: theta12, theta22, the gamma net, the step, the lambda net,
-    # the stabilizer, the threshold, u' inv(Theta_11) u, the g net and the
-    # updated Theta; theta starts as a constant, so pivot 0 records neither
-    # read. The full tape adds the inverse's three ops from pivot 1 on (its
-    # start is a constant too), W's update at pivot 0 and the boundary
-    # inverse. The loss adds sub, mul, sum and the 1/B scale.
-    @pytest.mark.parametrize("mode,nodes", [("detached", 8 + 5 * 10 + 4),
-                                            ("full", 9 + 5 * 13 + 1 + 4)])
-    def test_tape_nodes_of_a_ubg_minibatch(self, mode, nodes):
+    # Per pivot, ubg records 10 ops: theta12, theta22, the gamma net, the
+    # step, the lambda net, the stabilizer, the threshold, u' inv(Theta_11) u,
+    # the g net and the updated Theta. pnp adds the psi net (11); e2e drops
+    # the gamma net and the step and adds the phi net (9). Theta starts as a
+    # constant, so pivot 0 records neither read. The full tape adds the
+    # inverse's three ops from pivot 1 on (its start is a constant too), W's
+    # update at pivot 0 and the boundary inverse. The loss adds sub, mul, sum
+    # and the 1/B scale.
+    @pytest.mark.parametrize("variant,mode,nodes", [
+        ("ubg", "detached", 8 + 5 * 10 + 4),
+        ("ubg", "full", 9 + 5 * 13 + 1 + 4),
+        ("pnp", "detached", 9 + 5 * 11 + 4),
+        ("pnp", "full", 10 + 5 * 14 + 1 + 4),
+        ("e2e", "detached", 7 + 5 * 9 + 4),
+        ("e2e", "full", 8 + 5 * 12 + 1 + 4),
+    ])
+    def test_tape_nodes_of_a_minibatch(self, variant, mode, nodes):
         from spodnet.training import mse_loss
         rng = datagen.make_rng(21)
         truth = np.stack([datagen.make_sparse_spd(6, 0.9, 0.1, rng) for _ in range(3)])
         s = np.stack([datagen.sample_covariance(t, 50, rng)[0] for t in truth])
-        params = init_params("ubg", 6, seed=2)
+        params = init_params(variant, 6, seed=2)
         with ad.Tape() as tape:
             out = models.forward(s, params, LayerConfig(tape_mode=mode))
             ad.backward(ad.scale(mse_loss(out.theta, truth), 1.0 / 3))
@@ -269,7 +299,7 @@ class TestArchitectures:
             if name in params.nets:
                 _force_constant(params.nets[name], theta12)
         ctx = _ctx(5, theta12, np.zeros(4), np.zeros(4))  # stabilizer off
-        out = getattr(models, f"f_{variant}")(ctx, params).data
+        out = models.column_map(ctx, params).data
         expected = np.sign(theta12) * np.maximum(np.abs(theta12) - 0.5 * scale, 0.0)
         np.testing.assert_allclose(out, expected, rtol=0.0, atol=1e-15)
 
@@ -321,7 +351,7 @@ class TestFUbg:
         _force_constant(params.nets["gamma"], 1.0)
         _force_constant(params.nets["lambda"], 0.2)
         ctx = _ctx(2, theta12=[1.0], s12=[0.5], w12=[0.5])
-        u = models.f_ubg(ctx, params)
+        u = models.column_map(ctx, params)
         assert np.allclose(u.data, [0.8], atol=1e-15)
 
     def test_threshold_kills_everything(self):
@@ -330,7 +360,7 @@ class TestFUbg:
         _force_constant(params.nets["lambda"], 100.0)
         ctx = _ctx(4, theta12=[1.0, -2.0, 0.3], s12=[0.1, 0.2, 0.3],
                    w12=[0.0, 0.0, 0.0])
-        u = models.f_ubg(ctx, params)
+        u = models.column_map(ctx, params)
         assert np.array_equal(u.data, np.zeros(3))
 
     def test_identity_when_gamma_and_lambda_vanish(self):
@@ -339,7 +369,7 @@ class TestFUbg:
         _force_constant(params.nets["lambda"], 0.0)
         theta12 = [0.7, -1.2, 0.05]
         ctx = _ctx(4, theta12=theta12, s12=[9.0, 9.0, 9.0], w12=[0.0, 0.0, 0.0])
-        u = models.f_ubg(ctx, params)
+        u = models.column_map(ctx, params)
         assert np.array_equal(u.data, theta12)
 
     def test_frozen_constants_reproduce_proximal_step(self):
@@ -354,7 +384,7 @@ class TestFUbg:
             s12 = rng.standard_normal(6)
             w12 = rng.standard_normal(6)
             ctx = _ctx(7, theta12, s12, w12)
-            u = models.f_ubg(ctx, params)
+            u = models.column_map(ctx, params)
             oracle = baselines.block_gista_step(theta12, s12, w12, gamma, lam)
             assert np.abs(u.data - oracle).max() <= 1e-12
 
@@ -364,7 +394,7 @@ class TestFPnp:
         params = init_params("pnp", 5, seed=0)
         _zero_net(params.nets["psi"])
         ctx = _ctx(5, [1.0, 2.0, 3.0, 4.0], np.zeros(4), np.zeros(4))
-        assert np.array_equal(models.f_pnp(ctx, params).data, np.zeros(4))
+        assert np.array_equal(models.column_map(ctx, params).data, np.zeros(4))
 
     def test_threshold_off_passes_denoiser_output(self):
         params = init_params("pnp", 5, seed=1)
@@ -372,7 +402,7 @@ class TestFPnp:
         _force_constant(params.nets["gamma"], 0.0)
         theta12 = np.array([0.5, -0.25, 1.0, 0.0])
         ctx = _ctx(5, theta12, np.zeros(4), np.zeros(4))
-        got = models.f_pnp(ctx, params)
+        got = models.column_map(ctx, params)
         psi = params.nets["psi"]
         h = np.maximum(psi.weights[0].data @ theta12 + psi.biases[0].data, 0.0)
         expected = psi.weights[1].data @ h + psi.biases[1].data
@@ -386,7 +416,7 @@ class TestFPnp:
         w12 = rng.standard_normal(5)
         m = np.eye(5) * 0.5
         ctx = _ctx(6, theta12, s12, w12, theta11_inv=m, stabilize=True)
-        got = models.f_pnp(ctx, params).data
+        got = models.column_map(ctx, params).data
 
         def mlp(net, x):
             h = x
@@ -412,13 +442,13 @@ class TestFE2e:
         params = init_params("e2e", 5, seed=0)
         _zero_net(params.nets["phi"])
         ctx = _ctx(5, [1.0, -1.0, 2.0, 0.5], np.zeros(4), np.zeros(4))
-        assert np.array_equal(models.f_e2e(ctx, params).data, np.zeros(4))
+        assert np.array_equal(models.column_map(ctx, params).data, np.zeros(4))
 
     def test_large_threshold_gives_zero(self):
         params = init_params("e2e", 5, seed=1)
         _force_constant(params.nets["lambda"], 1e6)
         ctx = _ctx(5, [1.0, -1.0, 2.0, 0.5], np.zeros(4), np.zeros(4))
-        assert np.array_equal(models.f_e2e(ctx, params).data, np.zeros(4))
+        assert np.array_equal(models.column_map(ctx, params).data, np.zeros(4))
 
     def test_matches_primitive_composition(self):
         rng = np.random.default_rng(6)
@@ -427,7 +457,7 @@ class TestFE2e:
         m = np.eye(5)
         ctx = _ctx(6, theta12, np.zeros(5), np.zeros(5), theta11_inv=m,
                    stabilize=True)
-        got = models.f_e2e(ctx, params).data
+        got = models.column_map(ctx, params).data
 
         def mlp(net, x):
             h = x
@@ -489,8 +519,7 @@ class TestExactZeros:
         _force_constant(params.nets["lambda"], 1e4)
         ctx = _ctx(6, [0.4, -0.2, 0.9, 0.0, 1.3], np.zeros(5), np.zeros(5),
                    stabilize=True)
-        fn = {"ubg": models.f_ubg, "pnp": models.f_pnp, "e2e": models.f_e2e}
-        u = fn[variant](ctx, params)
+        u = models.column_map(ctx, params)
         assert np.count_nonzero(u.data) == 0
 
 
