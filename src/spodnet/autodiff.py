@@ -118,8 +118,8 @@ class Tape:
     backward sweep is a single reverse pass over ``nodes``. A node keeps
     the key of its output and, per input, the key of an input produced on
     this tape, the tensor of any other input that needs a gradient (a
-    leaf), or None. So the tape itself holds no intermediate array: each
-    lives only as long as the forward or an adjoint closure needs it.
+    leaf), or None. Arrays outlive the forward only in adjoint closures,
+    which keep what their adjoints read, not a whole input they slice.
     """
 
     def __init__(self):

@@ -195,17 +195,22 @@ def cmd_diagnose(args) -> int:
 
     updates: list[tuple] = []  # per update of a chunk, its per-sample arrays
     oks, excesses = [], []
+    prev = [None, None]  # the previous update's theta_after and its spectrum
     with (out_dir / "trace.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("sample_id", "layer", "update", "pivot",
                          "min_eig", "max_diag", "cond"))
 
         def audit(ev: core.UpdateEvent) -> None:
-            after = ev.theta_after
-            lows, _, conds = linalg.eig_diagnostics(after)
+            after, vals = ev.theta_after, linalg.spectrum(ev.theta_after)
+            # theta_before is the previous update's theta_after but at a chunk's start
+            before = (prev[1] if ev.theta_before is prev[0]
+                      else linalg.spectrum(ev.theta_before))
+            prev[:] = after, vals
+            lows, _, conds = linalg.eig_diagnostics(after, vals)
             lam_hi, lam_lo = core.rank2_delta_eigs(ev.col_diff, ev.diag_diff)
             ok, excess = core.bauer_fike_check(
-                ev.theta_before, after, np.maximum(abs(lam_hi), abs(lam_lo)))
+                before, vals, np.maximum(abs(lam_hi), abs(lam_lo)))
             oks.append(ok)
             excesses.append(excess)
             values = np.stack([lows, after.diagonal(0, -2, -1).max(-1), conds], -1)

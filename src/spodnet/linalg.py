@@ -44,6 +44,7 @@ __all__ = [
     "eig_diagnostics",
     "rest_indices",
     "spd_inverse",
+    "spectrum",
 ]
 
 _SYM_RTOL = 1e-12
@@ -225,18 +226,22 @@ def _solve_scipy(L: np.ndarray) -> np.ndarray:
     return inv
 
 
-def eig_diagnostics(a):
-    """(smallest eigenvalue, largest eigenvalue, their ratio) of each matrix
-    of ``a``: floats for one matrix, arrays of the batch shape for a stack.
-
-    Diagnostic only; never on the differentiated path.
-    """
+def spectrum(a) -> np.ndarray:
+    """Ascending eigenvalues, ``(..., p)``, of each symmetric, finite matrix
+    of ``a``. Diagnostic only; never on the differentiated path."""
     m = as_sym_array(a)
     if not np.isfinite(m).all():
-        raise ValueError("eig_diagnostics: matrix has non-finite entries")
-    vals = np.linalg.eigvalsh(m)
+        raise ValueError("spectrum: matrix has non-finite entries")
+    return np.linalg.eigvalsh(m)
+
+
+def eig_diagnostics(a, vals=None):
+    """(smallest eigenvalue, largest eigenvalue, their ratio) of each matrix
+    of ``a``: floats for one matrix, arrays of the batch shape for a stack.
+    A caller that already holds ``spectrum(a)`` passes it as ``vals``."""
+    vals = spectrum(a) if vals is None else vals
     lo, hi = vals[..., 0], vals[..., -1]
     cond = np.divide(hi, lo, out=np.full(lo.shape, np.inf), where=lo != 0.0)
-    if m.ndim == 2:
+    if vals.ndim == 1:
         return float(lo), float(hi), float(cond)
     return lo, hi, cond

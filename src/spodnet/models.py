@@ -66,6 +66,14 @@ class MlpSpec:
     scale: float = 1.0  # multiplies the output activation
     floor: float = 0.0  # added after the scale
 
+    def layout(self, net: str) -> list[tuple[str, tuple[int, ...]]]:
+        """The one naming and shape rule of a net's parameters, in checkpoint
+        order: per layer k, ``{net}.w{k}`` of shape (fan_out, fan_in), then
+        ``{net}.b{k}`` of shape (fan_out,)."""
+        return [(f"{net}.{kind}{k}", shape)
+                for k, (fan_in, fan_out) in enumerate(zip(self.widths, self.widths[1:]))
+                for kind, shape in (("w", (fan_out, fan_in)), ("b", (fan_out,)))]
+
 
 class Mlp:
     """Fully connected ReLU network, applied as one tape op per call.
@@ -80,15 +88,8 @@ class Mlp:
     both of which pass 0 at their kink.
     """
 
-    def __init__(self, spec: MlpSpec, rng: np.random.Generator):
-        self.spec = spec
-        self.weights: list[Tensor] = []
-        self.biases: list[Tensor] = []
-        for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
-            bound = 1.0 / np.sqrt(fan_in)
-            self.weights.append(ad.parameter(rng.uniform(-bound, bound,
-                                                         size=(fan_out, fan_in))))
-            self.biases.append(ad.parameter(np.zeros(fan_out)))
+    def __init__(self, spec: MlpSpec, weights: list[Tensor], biases: list[Tensor]):
+        self.spec, self.weights, self.biases = spec, weights, biases
 
     def __call__(self, *xs: Tensor) -> Tensor:
         if len(xs) == 1:
@@ -98,7 +99,7 @@ class Mlp:
         else:
             raise ad.ShapeError("Mlp expects per-sample scalars of one shape, "
                                 f"got {[t.data.shape for t in xs]}")
-        weights, biases = self.weights, self.biases
+        n, weights, biases = len(xs), self.weights, self.biases  # the adjoint keeps n, not xs
         abs_head = self.spec.out_activation == "abs"
         scale = self.spec.scale
         inputs, pre = [x], None
@@ -122,7 +123,7 @@ class Mlp:
                 if k:
                     # a hidden input is positive exactly where its ReLU passes
                     g = g * (inputs[k] > 0.0)
-            dxs = (g,) if len(xs) == 1 else tuple(g[..., j] for j in range(len(xs)))
+            dxs = (g,) if n == 1 else tuple(g[..., j] for j in range(n))
             return (*dxs, *dws, *dbs)
 
         out = np.abs(pre) if abs_head else pre
@@ -145,13 +146,8 @@ class ModelParams:
     nets: dict[str, Mlp]
 
     def named_tensors(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for name in _NET_ORDER:
-            if name in self.nets:
-                net = self.nets[name]
-                for li, (w, b) in enumerate(zip(net.weights, net.biases)):
-                    out += [(f"{name}.w{li}", w), (f"{name}.b{li}", b)]
-        return out
+        return [(name, t) for net, mlp in self.nets.items()
+                for (name, _), t in zip(mlp.spec.layout(net), mlp.tensors())]
 
     def tensors(self) -> list[Tensor]:
         return [t for _, t in self.named_tensors()]
@@ -173,16 +169,27 @@ def _net_specs(variant: str, p: int) -> dict[str, MlpSpec]:
         specs["psi"] = MlpSpec((k, 2 * p, k))
     if variant == "e2e":
         specs["phi"] = MlpSpec((k, 10 * p, k))
-    return specs
+    return {net: specs[net] for net in _NET_ORDER if net in specs}
+
+
+def _build(variant: str, p: int, seed: int, value) -> ModelParams:
+    """Nets whose parameters are ``value(name, shape)``, called in layout order."""
+    nets = {}
+    for net, spec in _net_specs(variant, p).items():
+        ts = [ad.parameter(value(name, shape)) for name, shape in spec.layout(net)]
+        nets[net] = Mlp(spec, ts[0::2], ts[1::2])
+    return ModelParams(variant, p, seed, nets)
 
 
 def init_params(variant: str, p: int, seed: int) -> ModelParams:
     """Fan-in uniform weights, zero biases; bitwise deterministic in seed."""
-    variant = str(variant).lower()
-    specs = _net_specs(variant, p)
     rng = datagen.make_rng(seed)
-    nets = {name: Mlp(specs[name], rng) for name in _NET_ORDER if name in specs}
-    return ModelParams(variant=variant, p=p, seed=seed, nets=nets)
+
+    def draw(name, shape):  # a weight is (fan_out, fan_in), a bias (fan_out,)
+        bound = 1.0 / np.sqrt(shape[-1])
+        return rng.uniform(-bound, bound, size=shape) if len(shape) == 2 else np.zeros(shape)
+
+    return _build(str(variant).lower(), p, seed, draw)
 
 
 # -- the update maps -------------------------------------------------------
@@ -263,16 +270,9 @@ def save_checkpoint(path, params: ModelParams, cfg: core.LayerConfig) -> None:
         "zeta": cfg.zeta,
         "num_layers": cfg.num_layers,
         "stabilize": cfg.stabilize,
-        "params": [
-            {
-                "name": name,
-                "shape": list(t.data.shape),
-                "data": base64.b64encode(
-                    np.ascontiguousarray(t.data, dtype="<f8").tobytes()
-                ).decode("ascii"),
-            }
-            for name, t in params.named_tensors()
-        ],
+        "params": [{"name": name, "shape": list(t.data.shape),
+                    "data": base64.b64encode(t.data.astype("<f8").tobytes()).decode("ascii")}
+                   for name, t in params.named_tensors()],
     }
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
@@ -298,11 +298,9 @@ def load_checkpoint(path) -> tuple[ModelParams, core.LayerConfig]:
         variant = str(doc["variant"]).lower()
         p, seed = _header(doc, "p", int), _header(doc, "seed", int)
         # every record is checked against the shapes the header implies
-        # before init_params draws a weight, so a corrupt p allocates nothing
-        shapes = {f"{name}.{kind}{li}": shape
-                  for name, spec in _net_specs(variant, p).items()
-                  for li, (fan_in, fan_out) in enumerate(zip(spec.widths, spec.widths[1:]))
-                  for kind, shape in (("w", (fan_out, fan_in)), ("b", (fan_out,)))}
+        # before a net is built, so a corrupt p allocates nothing
+        shapes = dict(entry for net, spec in _net_specs(variant, p).items()
+                      for entry in spec.layout(net))
         arrays = {}
         for rec in doc["params"]:
             name = rec["name"]
@@ -319,9 +317,7 @@ def load_checkpoint(path) -> tuple[ModelParams, core.LayerConfig]:
         if len(arrays) < len(shapes):
             raise ValueError("checkpoint is missing parameters: "
                              f"{sorted(shapes.keys() - arrays.keys())}")
-        params = init_params(variant, p, seed)
-        for name, t in params.named_tensors():
-            t.data[...] = arrays[name]
+        params = _build(variant, p, seed, lambda name, shape: arrays[name])
         cfg = core.LayerConfig(
             zeta=float(_header(doc, "zeta", (int, float))),
             num_layers=_header(doc, "num_layers", int),

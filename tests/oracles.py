@@ -1,6 +1,7 @@
 """Checks no command runs, which the tests share: the central-difference
 gradient oracle, the glasso stationarity residual, a positive-definiteness
-predicate, and the one broadcasting tape op the tests compose with.
+predicate, the one broadcasting tape op the tests compose with, and a
+randomly drawn MLP of any widths.
 """
 
 from typing import Callable, Sequence
@@ -9,8 +10,20 @@ import numpy as np
 
 from spodnet import linalg
 from spodnet.autodiff import (DomainError, Tape, Tensor, apply_op, backward,
-                              zero_grad)
+                              parameter, zero_grad)
 from spodnet.linalg import NotPositiveDefinite, cholesky
+from spodnet.models import Mlp, MlpSpec
+
+
+def random_mlp(spec: MlpSpec, rng: np.random.Generator) -> Mlp:
+    """An Mlp of ``spec`` drawn from ``rng`` as ``init_params`` draws a
+    net: per layer, a fan-in uniform weight, then a zero bias."""
+    weights, biases = [], []
+    for fan_in, fan_out in zip(spec.widths, spec.widths[1:]):
+        bound = 1.0 / np.sqrt(fan_in)
+        weights.append(parameter(rng.uniform(-bound, bound, size=(fan_out, fan_in))))
+        biases.append(parameter(np.zeros(fan_out)))
+    return Mlp(spec, weights, biases)
 
 
 def broadcast_to(t: Tensor, shape: tuple) -> Tensor:

@@ -223,7 +223,8 @@ class TestCriterion5:
             # training events carry the minibatch axis: audit each sample
             for b in np.ndindex(ev.theta_after.shape[:-2]):
                 hi, lo = core.rank2_delta_eigs(ev.col_diff[b], ev.diag_diff[b])
-                ok, excess = core.bauer_fike_check(ev.theta_before[b], ev.theta_after[b],
+                ok, excess = core.bauer_fike_check(linalg.spectrum(ev.theta_before[b]),
+                                                   linalg.spectrum(ev.theta_after[b]),
                                                    max(abs(hi), abs(lo)))
                 checked[0] += 1
                 if not ok:

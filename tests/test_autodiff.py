@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from spodnet import autodiff as ad
 from spodnet.autodiff import DomainError, ShapeError, Tape, Tensor
-from spodnet.models import Mlp, MlpSpec
+from spodnet.models import MlpSpec
 
-from oracles import finite_diff_check
+from oracles import finite_diff_check, random_mlp
 
 
 def _mlp(widths, seed, out_activation="identity"):
-    return Mlp(MlpSpec(tuple(widths), out_activation), np.random.default_rng(seed))
+    return random_mlp(MlpSpec(tuple(widths), out_activation), np.random.default_rng(seed))
 
 
 class TestSoftThreshold:

@@ -3,7 +3,11 @@
 import argparse
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -266,6 +270,27 @@ class TestCheckpointHeader:
         assert "shape mismatch for 'gamma.w0'" in capsys.readouterr().err
 
 
+_EVAL_AND_DIAGNOSE = """
+import sys
+from spodnet import cli
+ckpt, data, out = sys.argv[1:]
+assert cli.main(["eval", "--checkpoint", ckpt, "--data", data, "--out", out + "/x.json"]) == 0
+assert cli.main(["diagnose", "--checkpoint", ckpt, "--data", data, "--out", out + "/d"]) == 0
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_loading_a_checkpoint_draws_nothing(tmp_path, small_data, trained):
+    """load_checkpoint builds the nets from the records, so a process that
+    runs eval and then diagnose never imports numpy.random."""
+    src = str(Path(models.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", _EVAL_AND_DIAGNOSE, str(trained / "checkpoint.json"),
+         str(small_data[1]), str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "False"
+
+
 class TestSpdViolation:
     def test_eval_and_diagnose_name_the_sample(self, tmp_path, capsys):
         # an untrained e2e model whose margin path breaks on entry 1 first
@@ -462,6 +487,21 @@ class TestDiagnose:
         report = json.loads((out / "bauer_fike.json").read_text())
         assert report["violations"] == 0
         assert report["updates_checked"] == 3 * 6
+
+    def test_one_spectrum_per_theta(self, tmp_path, small_data, trained,
+                                    monkeypatch):
+        # an update's theta_before is the previous one's theta_after, so each
+        # theta is decomposed once, and the stack's starting theta once more
+        _, test = small_data
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: calls.append(a.shape) or eigvalsh(a))
+        code = main(["diagnose", "--checkpoint",
+                     str(trained / "checkpoint.json"), "--data", str(test),
+                     "--out", str(tmp_path / "diag")])
+        assert code == 0
+        assert calls == [(3, 6, 6)] * (1 + 6)
 
     def test_update_counts_across_layers(self, tmp_path, small_data, trained):
         _, test = small_data

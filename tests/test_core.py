@@ -1,5 +1,6 @@
 """Column-row update layer: block algebra, SPD preservation, diagnostics."""
 
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -477,8 +478,6 @@ class TestForward:
         assert exc.value.sample is None
 
     def test_validate_names_the_first_failing_sample(self):
-        # each sample's Cholesky is checked before its residual, as if the
-        # stack were checked matrix by matrix
         theta = np.stack([np.eye(3)] * 4)
         w = theta.copy()
         w[1, 0, 1] = w[1, 1, 0] = 0.5  # drifted pair
@@ -486,19 +485,49 @@ class TestForward:
         with pytest.raises(SpdViolation, match="drifted") as exc:
             SpdState(Tensor(theta), Tensor(w)).validate()
         assert exc.value.sample == 1
-        theta[1, 0, 0] = -1.0
-        with pytest.raises(SpdViolation, match="not PD") as exc:
-            SpdState(Tensor(theta), Tensor(w)).validate()
-        assert exc.value.sample == 1
 
     def test_validate_rejects_non_finite_state(self):
-        nan_theta = np.eye(3)
-        nan_theta[0, 0] = np.nan
-        with pytest.raises(SpdViolation, match="not PD"):
-            SpdState(Tensor(nan_theta), Tensor(np.eye(3))).validate()
         with pytest.raises(SpdViolation, match="drifted"):
             SpdState(Tensor(np.eye(3)),
                      Tensor(np.full((3, 3), np.nan))).validate()
+
+    @pytest.mark.parametrize("mode", ["detached", "full"])
+    def test_non_finite_column_fails_at_the_refresh(self, mode):
+        # NaN in sample 1's last column: at an earlier pivot the next one's
+        # w22 check would meet it, here the refresh's Cholesky does
+        rng = np.random.default_rng(17)
+        s = np.stack([_random_spd(rng, 5) for _ in range(3)])
+
+        def f(ctx):
+            u = np.full(ctx.theta12.data.shape, 0.1)
+            if ctx.i == 4:
+                u[1] = np.nan
+            return Tensor(u)
+
+        def g(ctx, u, q):
+            return Tensor(np.ones(3))
+
+        with pytest.raises(SpdViolation, match="layer 0: state matrix is not PD "
+                                               "at the boundary refresh") as exc:
+            core.spodnet_forward(s, UpdateFns(f=f, g=g), LayerConfig(tape_mode=mode))
+        assert exc.value.sample == 1
+
+    @pytest.mark.parametrize("mode", ["detached", "full"])
+    def test_one_factorization_per_layer_boundary(self, mode, monkeypatch):
+        # the start's inverse, then one Cholesky per boundary refresh, which
+        # validate does not repeat
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda a: calls.append(a.shape) or cholesky(a))
+        rng = np.random.default_rng(18)
+        s = np.stack([_random_spd(rng, 6) for _ in range(3)])
+        params = models.init_params("ubg", 6, seed=2)
+        for layers in (1, 2):
+            calls.clear()
+            with Tape():
+                models.forward(s, params, LayerConfig(num_layers=layers, tape_mode=mode))
+            assert calls == [(3, 6, 6)] * (1 + layers)
 
     def test_corrupt_input_rejected(self):
         bad = np.diag([-2.0, 1.0])  # eigenvalue below -1
@@ -580,6 +609,26 @@ class TestGradients:
         assert np.array_equal(plain.theta.data, replayed.theta.data)
 
 
+@pytest.mark.parametrize("mode,held", [("detached", 2), ("full", 42)])
+def test_tape_keeps_no_theta_or_w(mode, held):
+    """After a taped forward, the blocks of at least one (B, p-1, p-1) stack
+    still held are the output pair and, in full mode, each column's
+    inv(Theta_11), which w_plus's adjoint reads: no column's theta or W."""
+    p, b = 40, 4
+    rng = np.random.default_rng(19)
+    s = np.stack([_random_spd(rng, p) for _ in range(b)])
+    params = models.init_params("ubg", p, seed=3)
+    tracemalloc.start()
+    try:
+        with Tape():
+            out = models.forward(s, params, LayerConfig(tape_mode=mode))
+            traces = tracemalloc.take_snapshot().traces
+    finally:
+        tracemalloc.stop()
+    big = sum(t.size >= 8 * b * (p - 1) ** 2 for t in traces)
+    assert out.theta.data.shape == (b, p, p) and big <= held
+
+
 def _recorder(record: list):
     """A hook that records each update's inverse-derived inputs for replay."""
     return lambda ev: record.append((ev.theta11_inv, ev.w12))
@@ -655,7 +704,7 @@ class TestBauerFike:
     def test_zero_perturbation(self):
         rng = np.random.default_rng(12)
         a = _random_spd(rng, 5)
-        ok, excess = bauer_fike_check(a, a, 0.0)
+        ok, excess = bauer_fike_check(linalg.spectrum(a), linalg.spectrum(a), 0.0)
         assert ok and excess <= 0.0
 
     def test_single_column_update(self):
@@ -669,7 +718,8 @@ class TestBauerFike:
             tp = theta_plus_np(theta, i, u, 0.5, np.matvec(t11inv, u))
             hi, lo = rank2_delta_eigs(u - theta[rest, i],
                                       tp[i, i] - theta[i, i])
-            ok, _ = bauer_fike_check(theta, tp, max(abs(hi), abs(lo)))
+            ok, _ = bauer_fike_check(linalg.spectrum(theta), linalg.spectrum(tp),
+                                     max(abs(hi), abs(lo)))
             assert ok
 
     def test_diagonal_bump(self):
@@ -680,7 +730,7 @@ class TestBauerFike:
         before = np.linalg.eigvalsh(theta)
         after = np.linalg.eigvalsh(bumped)
         assert np.abs(after - before).max() <= 2.0 + 1e-12
-        ok, _ = bauer_fike_check(theta, bumped, 2.0)
+        ok, _ = bauer_fike_check(before, after, 2.0)
         assert ok
 
     def test_stack_equals_each_pair(self):
@@ -697,11 +747,13 @@ class TestBauerFike:
         diag_diff = after[..., i, i] - before[..., i, i]
         hi, lo = rank2_delta_eigs(col_diff, diag_diff)
         bound = np.maximum(abs(hi), abs(lo))
-        ok, excess = bauer_fike_check(before, after, bound)
+        eb, ea = linalg.spectrum(before), linalg.spectrum(after)
+        ok, excess = bauer_fike_check(eb, ea, bound)
         assert ok.shape == excess.shape == (4,) and ok.all()
         for j in range(4):
             assert (hi[j], lo[j]) == rank2_delta_eigs(col_diff[j].copy(), diag_diff[j])
-            assert (ok[j], excess[j]) == bauer_fike_check(before[j], after[j], bound[j])
+            assert (ok[j], excess[j]) == bauer_fike_check(linalg.spectrum(before[j]),
+                                                          linalg.spectrum(after[j]), bound[j])
 
 
 def test_single_column_update_quadratic_scaling():

@@ -12,7 +12,7 @@ from spodnet.core import ColumnContext, LayerConfig
 from spodnet.models import (VARIANTS, g_eval, init_params, load_checkpoint,
                             save_checkpoint)
 
-from oracles import broadcast_to, finite_diff_check
+from oracles import broadcast_to, finite_diff_check, random_mlp
 
 
 def _zero_net(net):
@@ -48,7 +48,7 @@ class TestMlpOp:
 
     def _net(self, head):
         rng = np.random.default_rng(3)
-        net = models.Mlp(models.MlpSpec((4, 5, 3, 2), head), rng)
+        net = random_mlp(models.MlpSpec((4, 5, 3, 2), head), rng)
         for b in net.biases:  # keep every pre-activation off the kinks
             b.data[...] = rng.standard_normal(b.data.shape)
         return net, ad.parameter(rng.standard_normal(4)), rng
@@ -74,7 +74,7 @@ class TestMlpScalarInputs:
 
     def _net(self):
         rng = np.random.default_rng(9)
-        net = models.Mlp(models.MlpSpec((3, 4, 2), "abs"), rng)
+        net = random_mlp(models.MlpSpec((3, 4, 2), "abs"), rng)
         for b in net.biases:  # keep every pre-activation off the kinks
             b.data[...] = rng.standard_normal(b.data.shape)
         return net, rng
@@ -113,8 +113,7 @@ def _composed_g_eval(theta22, s22, schur_quad, params):
     # the same weights without the floor, the features stacked by one op and
     # the floor added by another
     net = params.nets["g"]
-    bare = models.Mlp(replace(net.spec, floor=0.0), np.random.default_rng(0))
-    bare.weights, bare.biases = net.weights, net.biases
+    bare = models.Mlp(replace(net.spec, floor=0.0), net.weights, net.biases)
     out = bare(_stack_scalars((theta22, s22, schur_quad)))
     return ad.sub(out, broadcast_to(ad.constant([-models.G_FLOOR]), out.shape))
 
@@ -202,8 +201,8 @@ class TestFusedOps:
         net = init_params("pnp", 6, seed=1).nets["lambda"]
         for b in net.biases:  # keep every pre-activation off the kinks
             b.data[...] = rng.standard_normal(b.data.shape)
-        bare = models.Mlp(replace(net.spec, scale=1.0), rng)
-        bare.weights, bare.biases = net.weights, net.biases
+        random_mlp(net.spec, rng)  # x and cot follow one net's draws from rng
+        bare = models.Mlp(replace(net.spec, scale=1.0), net.weights, net.biases)
         x = ad.parameter(rng.standard_normal(batch + (5,)))
         leaves = [x, *net.tensors()]
         cot = rng.standard_normal(batch + (5,))
