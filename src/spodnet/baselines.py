@@ -61,11 +61,12 @@ class NonPositiveDiagonal(ValueError):
 class GlassoConfig:
     """Solver knobs: penalty, sweep budget, per-sweep objective tolerance
     and proximal steps per block. Each step starts at size 1 and halves
-    until the block objective does not increase."""
+    until the block objective does not increase. The defaults are also the
+    command line's."""
 
     lam: float = 0.1
-    max_sweeps: int = 500
-    tol: float = 1e-10
+    max_sweeps: int = 200
+    tol: float = 1e-8
     inner_steps: int = 5
 
     def __post_init__(self):
@@ -99,11 +100,9 @@ def glasso_objective(theta, s, lam: float) -> float:
 
 def block_gista_step(theta12, s12, w12, gamma: float, lam: float) -> np.ndarray:
     """Soft-thresholded gradient step on one off-diagonal column:
-    ST_{gamma*lam}(theta12 - gamma * (s12 - w12))."""
-    if not gamma > 0.0:
-        raise ValueError("gamma must be > 0")
-    step = np.asarray(theta12, dtype=np.float64) - gamma * (
-        np.asarray(s12, dtype=np.float64) - np.asarray(w12, dtype=np.float64))
+    ST_{gamma*lam}(theta12 - gamma * (s12 - w12)), for float64 columns and
+    gamma > 0, as ``_update_block`` passes them (gamma = 2^-k, k < 60)."""
+    step = theta12 - gamma * (s12 - w12)
     return np.sign(step) * np.maximum(np.abs(step) - gamma * lam, 0.0)
 
 
@@ -156,6 +155,7 @@ def glasso_solve(s, cfg: GlassoConfig) -> np.ndarray:
     """
     sd = linalg.as_sym_matrix(s)
     p = sd.shape[0]
+    # owns the margins 1/S_ii; a NaN S_ii fails initial_state's Cholesky
     if np.any(np.diag(sd) <= 0.0):
         raise NonPositiveDiagonal("covariance diagonal must be strictly positive")
     # per pivot i, once per solve: the C-order flat positions of column i's
@@ -198,10 +198,11 @@ def _holdout_nll(theta, s_holdout) -> float:
     return -2.0 * float(np.log(np.diag(L)).sum()) + float((s_holdout * td).sum())
 
 
-def glasso_cv(samples, lambda_grid, folds: int = 5,
-              cfg: GlassoConfig | None = None) -> tuple[float, np.ndarray]:
+def glasso_cv(samples, lambda_grid, folds: int,
+              cfg: GlassoConfig) -> tuple[float, np.ndarray]:
     """Pick the penalty from ``lambda_grid`` (see :func:`default_lambda_grid`)
-    by K-fold held-out Gaussian negative log-likelihood.
+    by ``folds``-fold held-out Gaussian negative log-likelihood. Every
+    solve runs with ``cfg``'s settings and a grid value as its penalty.
 
     Contiguous folds, mean score per grid value, ties resolved toward the
     larger (sparser) penalty; the winner is refit on all samples.
@@ -221,7 +222,6 @@ def glasso_cv(samples, lambda_grid, folds: int = 5,
         raise ValueError("lambda grid is empty")
     if any(np.isnan(grid)):  # sorted() leaves a NaN wherever it was
         raise ValueError(f"lambda grid holds NaN: {grid}")
-    cfg = cfg if cfg is not None else GlassoConfig()
     scores = np.zeros(len(grid))
     for k in range(folds):
         mask = np.ones(n, dtype=bool)

@@ -6,7 +6,8 @@ spectral diagnostics. Outputs are plain CSV/JSON for downstream plotting.
 
 argparse parses every option: a ``--config`` file's values are checked,
 then read as flags placed right after the subcommand, so a flag typed later
-wins. This module only turns options into library calls and writes files.
+wins; an option that sets a config field defaults to that field. This
+module only turns options into library calls and writes files.
 
 Exit codes: 0 success, 2 usage/validation, 3 I/O, 4 numerical contract
 violation.
@@ -250,8 +251,8 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=int, default=100)
     g.add_argument("--num", type=int, default=100)
     g.add_argument("--alpha", type=float, default=0.95)
-    g.add_argument("--diag-boost", type=float, default=0.1)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--diag-boost", type=float, default=datagen.GenConfig.diag_boost)
+    g.add_argument("--seed", type=int, default=datagen.GenConfig.seed)
     g.add_argument("--keep-samples", action="store_true",
                    help="also store the raw n-by-p sample blocks")
     g.add_argument("--out", required=True)
@@ -261,16 +262,16 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--model", choices=models.VARIANTS, default="ubg")
     t.add_argument("--train", required=True, help="training dataset directory")
     t.add_argument("--test", required=True, help="test dataset directory")
-    t.add_argument("--epochs", type=int, default=10)
-    t.add_argument("--lr", type=float, default=1e-2)
-    t.add_argument("--batch-size", type=int, default=10)
-    t.add_argument("--zeta", type=float, default=1.0)
-    t.add_argument("--layers", type=int, default=1)
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--epochs", type=int, default=training.TrainConfig.epochs)
+    t.add_argument("--lr", type=float, default=training.TrainConfig.lr)
+    t.add_argument("--batch-size", type=int, default=training.TrainConfig.batch_size)
+    t.add_argument("--zeta", type=float, default=core.LayerConfig.zeta)
+    t.add_argument("--layers", type=int, default=core.LayerConfig.num_layers)
+    t.add_argument("--seed", type=int, default=training.TrainConfig.seed)
     t.add_argument("--no-stabilizer", action="store_true",
                    help="disable the pre-threshold rescaling")
-    t.add_argument("--tape-mode", choices=("detached", "full"),
-                   default="detached")
+    t.add_argument("--tape-mode", choices=core.TAPE_MODES,
+                   default=core.LayerConfig.tape_mode)
     t.add_argument("--out", required=True,
                    help="output directory for checkpoint + metrics")
     t.set_defaults(func=cmd_train)
@@ -286,7 +287,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    required=True)
     b.add_argument("--data", required=True)
     b.add_argument("--out", required=True, help="output JSON path")
-    b.add_argument("--lambda", dest="lam", type=float, default=0.1,
+    b.add_argument("--lambda", dest="lam", type=float,
+                   default=baselines.GlassoConfig.lam,
                    help="l1 penalty; read only by --method glasso "
                         "(default %(default)s)")
     b.add_argument("--folds", type=int, default=5,
@@ -295,13 +297,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="glasso-cv picks lambda from this many log-spaced "
                         "values over [0.01, 1] x the largest off-diagonal "
                         "|S_ij| (default %(default)s)")
-    b.add_argument("--max-sweeps", type=int, default=200,
-                   help="glasso sweep budget per solve; this CLI default "
-                        "differs from GlassoConfig's 500 (default %(default)s)")
-    b.add_argument("--tol", type=float, default=1e-8,
+    b.add_argument("--max-sweeps", type=int,
+                   default=baselines.GlassoConfig.max_sweeps,
+                   help="glasso sweep budget per solve (default %(default)s)")
+    b.add_argument("--tol", type=float, default=baselines.GlassoConfig.tol,
                    help="stop a solve when a sweep lowers the objective by "
-                        "less than this; this CLI default differs from "
-                        "GlassoConfig's 1e-10 (default %(default)s)")
+                        "less than this (default %(default)s)")
     b.set_defaults(func=cmd_baseline)
 
     d = sub.add_parser("diagnose", help="spectral trace + perturbation audit")

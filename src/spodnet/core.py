@@ -80,6 +80,7 @@ __all__ = [
 QUAD_GUARD = 1e-12
 PAIR_RESIDUAL_RTOL = 1e-8
 BAUER_FIKE_SLACK = 1e-8
+TAPE_MODES = ("detached", "full")
 
 
 class SpdViolation(RuntimeError):
@@ -104,14 +105,7 @@ def _require(ok, describe: Callable[[int], str]) -> None:
     raise SpdViolation(describe(j), sample=j if ok.ndim else None)
 
 
-def _check_margin(v) -> None:
-    # a float compares directly, ndarray.min beats np.all: glasso's and the
-    # layer's pivot loops call this per column
-    if not (v if isinstance(v, float) else np.asarray(v).min()) > 0.0:
-        raise ValueError("margin v must be strictly positive")
-
-
-@dataclass
+@dataclass(frozen=True)
 class LayerConfig:
     """Shape of the unrolled forward pass.
 
@@ -122,6 +116,8 @@ class LayerConfig:
     a replay ends with a dense refresh of the inverse, one stacked
     Cholesky over the whole batch that proves each theta PD, and
     :meth:`SpdState.validate`, which checks the refreshed pair's residual.
+    Frozen, so the checks below hold for the config's lifetime: the
+    stabilizer takes ``zeta`` unchecked.
     """
 
     zeta: float = 1.0
@@ -134,7 +130,7 @@ class LayerConfig:
             raise ValueError(f"zeta must be finite and > 0, got {self.zeta}")
         if self.num_layers < 1:
             raise ValueError("num_layers must be >= 1")
-        if self.tape_mode not in ("detached", "full"):
+        if self.tape_mode not in TAPE_MODES:
             raise ValueError(f"unknown tape_mode {self.tape_mode!r}")
 
 
@@ -348,8 +344,8 @@ def theta_plus_np(theta: np.ndarray, i: int, u: np.ndarray, v,
     """Write column/row ``i`` to ``u`` and pin the pivot diagonal to
     ``v + u' mu``, with ``mu`` = inv(Theta_11) u from the caller, so the
     updated matrix has Schur margin exactly ``v`` (shape ``(...)``); SPD for
-    any u, v > 0."""
-    _check_margin(v)
+    any u, v > 0. Its owners check that ``v`` is finite and positive: the
+    layer, naming sample and pivot, and ``glasso_solve``, whose v is 1/S_ii."""
     rest = linalg.rest_indices(theta.shape[-1], i)
     out = theta.copy()
     out[..., rest, i] = u
@@ -385,8 +381,8 @@ def theta_plus(theta: Tensor, u: Tensor, v: Tensor, theta11_inv: Tensor,
 
 def w_plus_np(theta11_inv: np.ndarray, mu: np.ndarray, v, i: int) -> np.ndarray:
     """Inverse of the updated matrix from the same blocks, in O(p^2), with
-    ``mu`` = inv(Theta_11) u from the caller."""
-    _check_margin(v)
+    ``mu`` = inv(Theta_11) u from the caller and ``v`` checked by its
+    owners (see :func:`theta_plus_np`)."""
     v = np.asarray(v)[()]  # a scalar when unbatched, as w22 above
     p = theta11_inv.shape[-1] + 1
     rest = linalg.rest_indices(p, i)
@@ -432,10 +428,9 @@ def stabilize_preactivation(z: Tensor, theta11_inv: Tensor, zeta: float) -> Tens
     the zero vector never divides by zero; when every sample is degenerate
     ``z`` itself is returned. One tape op: the output is ``s * z`` with
     ``s = sqrt(zeta) / sqrt(q)`` and ``q = z' M z``, and the adjoint sends
-    ``g * s`` plus the chain through ``q`` to ``z``.
+    ``g * s`` plus the chain through ``q`` to ``z``. :class:`LayerConfig`
+    checks that ``zeta`` is finite and positive.
     """
-    if not zeta > 0.0:
-        raise ValueError("zeta must be > 0")
     zd, md = z.data, theta11_inv.data
     # (z' M) z, the association the unbatched 1-D form z @ M @ z rounds in
     zm = np.vecmat(zd, md)

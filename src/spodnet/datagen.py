@@ -103,9 +103,8 @@ class Dataset:
 
 def make_sparse_spd(p: int, alpha: float, diag_boost: float,
                     rng: np.random.Generator) -> np.ndarray:
-    """One sparse SPD matrix with smallest eigenvalue above ``diag_boost``."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
+    """One sparse SPD matrix with smallest eigenvalue above ``diag_boost``.
+    ``alpha`` must lie in [0, 1], which :class:`GenConfig` checks."""
     lower = np.tril(np.ones((p, p), dtype=bool), k=-1)
     # fixed draw counts keep the stream layout independent of alpha
     keep = (rng.random((p, p)) >= alpha) & lower

@@ -62,10 +62,6 @@ class TestBlockStep:
                                np.array([0.0]), 0.5, 0.2)
         assert np.allclose(out, [1.4], atol=1e-15)
 
-    def test_gamma_must_be_positive(self):
-        with pytest.raises(ValueError):
-            block_gista_step(np.zeros(2), np.zeros(2), np.zeros(2), 0.0, 0.1)
-
 
 class TestGlassoSolve:
     def test_huge_penalty_gives_diagonal_mle(self):
@@ -111,6 +107,18 @@ class TestGlassoSolve:
         s[2, 2] = 0.0
         with pytest.raises(ValueError):
             glasso_solve(s, GlassoConfig(lam=0.1))
+
+    def test_nan_diagonal_fails_before_any_block_update(self, monkeypatch):
+        # a NaN S_ii passes the diagonal check; the margin 1/S_ii it implies
+        # never reaches a block update, because the initial Cholesky fails
+        s = np.eye(4)
+        s[2, 2] = np.nan
+        steps = []
+        monkeypatch.setattr(baselines, "block_gista_step",
+                            lambda *args: steps.append(args))
+        with pytest.raises(linalg.NotPositiveDefinite):
+            glasso_solve(s, GlassoConfig(lam=0.1))
+        assert steps == []
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -258,19 +266,20 @@ class TestGlassoCv:
     def test_degenerate_fold_rejected(self):
         _, _, x = _entry(4, 7, 0.7, seed=9)
         with pytest.raises(ValueError):
-            glasso_cv(x, lambda_grid=[0.1], folds=4)
+            glasso_cv(x, lambda_grid=[0.1], folds=4, cfg=GlassoConfig())
 
     def test_empty_grid_rejected(self):
         _, _, x = _entry(4, 20, 0.7, seed=10)
         with pytest.raises(ValueError):
-            glasso_cv(x, lambda_grid=[], folds=2)
+            glasso_cv(x, lambda_grid=[], folds=2, cfg=GlassoConfig())
 
     def test_nan_grid_value_rejected(self):
         # unchecked, a NaN penalty runs each solve to its sweep budget, and
         # a NaN score, which no ``<=`` comparison beats, would win the pick
         _, _, x = _entry(4, 20, 0.7, seed=10)
         with pytest.raises(ValueError, match="NaN"):
-            glasso_cv(x, lambda_grid=[float("nan"), 0.1, 0.5], folds=2)
+            glasso_cv(x, lambda_grid=[float("nan"), 0.1, 0.5], folds=2,
+                      cfg=GlassoConfig())
 
 
 class TestLedoitWolf:

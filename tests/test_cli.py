@@ -335,9 +335,8 @@ class TestBaseline:
         text = " ".join(capsys.readouterr().out.split())
         assert "read only by --method glasso" in text
         assert "glasso-cv picks lambda from this many log-spaced values" in text
-        # the CLI's solver defaults are not GlassoConfig's
-        assert "GlassoConfig's 500 (default 200)" in text
-        assert "GlassoConfig's 1e-10 (default 1e-08)" in text
+        assert "(default 200)" in text
+        assert "(default 1e-08)" in text
 
     @pytest.mark.parametrize("edit", [
         lambda m: {**m, "extra": 1},
@@ -804,6 +803,37 @@ def test_option_surface():
                      "--grid-size", "--max-sweeps", "--tol"},
         "diagnose": {"--help", "--checkpoint", "--data", "--out", "--zeta", "--limit"},
     }
+
+
+def test_defaults_are_the_config_classes():
+    # each option that sets a config field defaults to that field
+    parser = cli._plain_parsers()[1]
+    gen = parser.parse_args(["gen-data", "--out", "x"])
+    train = parser.parse_args(["train", "--train", "a", "--test", "b", "--out", "x"])
+    base = parser.parse_args(["baseline", "--method", "glasso", "--data", "a",
+                              "--out", "x"])
+    gen_cfg, train_cfg = datagen.GenConfig, training.TrainConfig
+    layer_cfg, glasso_cfg = core.LayerConfig, baselines.GlassoConfig
+    pairs = {
+        "gen-data --diag-boost": (gen.diag_boost, gen_cfg.diag_boost),
+        "gen-data --seed": (gen.seed, gen_cfg.seed),
+        "train --epochs": (train.epochs, train_cfg.epochs),
+        "train --lr": (train.lr, train_cfg.lr),
+        "train --batch-size": (train.batch_size, train_cfg.batch_size),
+        "train --seed": (train.seed, train_cfg.seed),
+        "train --zeta": (train.zeta, layer_cfg.zeta),
+        "train --layers": (train.layers, layer_cfg.num_layers),
+        "train --tape-mode": (train.tape_mode, layer_cfg.tape_mode),
+        "baseline --lambda": (base.lam, glasso_cfg.lam),
+        "baseline --max-sweeps": (base.max_sweeps, glasso_cfg.max_sweeps),
+        "baseline --tol": (base.tol, glasso_cfg.tol),
+    }
+    assert ({k: cli_value for k, (cli_value, _) in pairs.items()}
+            == {k: field for k, (_, field) in pairs.items()})
+    commands = next(a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    tape_mode = next(a for a in commands["train"]._actions if a.dest == "tape_mode")
+    assert tuple(tape_mode.choices) == core.TAPE_MODES
 
 
 def test_gen_data_io_failure_exits_3():

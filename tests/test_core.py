@@ -1,5 +1,6 @@
 """Column-row update layer: block algebra, SPD preservation, diagnostics."""
 
+import dataclasses
 import tracemalloc
 from functools import partial
 
@@ -100,10 +101,6 @@ class TestAssembleThetaPlus:
         out = theta_plus_np(np.eye(2), 1, np.array([0.5]), 2.0, np.array([0.5]))
         assert np.allclose(out, [[1.0, 0.5], [0.5, 2.25]])
         assert np.linalg.det(out) == pytest.approx(2.0)
-
-    def test_rejects_nonpositive_margin(self):
-        with pytest.raises(ValueError):
-            theta_plus_np(np.eye(2), 0, np.array([0.0]), 0.0, np.array([0.0]))
 
     def test_spd_preserved_randomized(self):
         rng = np.random.default_rng(2)
@@ -331,10 +328,6 @@ class TestStabilizer:
                 q = float(out.data @ m @ out.data)
                 assert abs(q - zeta) <= 1e-10
 
-    def test_rejects_nonpositive_zeta(self):
-        with pytest.raises(ValueError):
-            stabilize_preactivation(Tensor([1.0]), Tensor(np.eye(1)), 0.0)
-
     def test_adjoint_on_both_inputs(self):
         rng = np.random.default_rng(44)
         skew = rng.standard_normal((5, 5))
@@ -407,10 +400,12 @@ class TestLayer:
         assert len(worst) == 20
         assert max(worst) <= 1e-8
 
-    def test_nonpositive_margin_raises(self):
+    @pytest.mark.parametrize("v", [0.0, -1.0, float("nan")])
+    def test_nonpositive_margin_raises(self, v):
+        # the one margin check before theta_plus and w_plus
         state = SpdState(Tensor(np.eye(3)), Tensor(np.eye(3)))
-        with pytest.raises(SpdViolation):
-            core.spodnet_layer(state, _constant_fns(0.0, -1.0), LayerConfig(),
+        with pytest.raises(SpdViolation, match="at pivot 0 is not positive"):
+            core.spodnet_layer(state, _constant_fns(0.0, v), LayerConfig(),
                                np.zeros((3, 3)))
 
 
@@ -546,6 +541,10 @@ class TestForward:
             LayerConfig(zeta=0.0)
         with pytest.raises(ValueError):
             LayerConfig(zeta=-1.0)
+
+    def test_zeta_cannot_be_set_past_the_check(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            LayerConfig().zeta = 0.0
 
     @pytest.mark.parametrize("zeta", [np.inf, np.nan])
     def test_non_finite_zeta_rejected(self, zeta):

@@ -44,10 +44,6 @@ class TestMakeSparseSpd:
         theta = make_sparse_spd(40, 0.9, 0.1, make_rng(3))
         assert np.array_equal(theta == 0.0, theta.T == 0.0)
 
-    def test_alpha_out_of_range(self):
-        with pytest.raises(ValueError):
-            make_sparse_spd(5, 1.5, 0.1, make_rng(0))
-
 
 class TestSampleCovariance:
     def test_law_of_large_numbers_identity(self):
