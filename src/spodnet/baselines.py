@@ -10,11 +10,16 @@ column, then sets the pivot diagonal to its exact coordinate minimizer
 (Schur margin 1/S_ii), so every iterate is SPD by construction and the
 objective never increases across accepted steps. The inverse is maintained
 through the same O(p^2) block identities as the update layer and refreshed
-densely once per sweep.
+densely once per sweep; a sweep factors Theta once, and the refresh and
+the sweep's objective share that factor.
 
 The column loop is written to cut interpreter round trips: each pivot's
-constants are built once per solve, the products use ``ndarray.dot`` and
-the no-move test is one exact comparison. It must keep the iterates,
+constants are built once per solve, the products use bound ``ndarray.dot``
+methods, and a proximal step evaluates its candidate before it asks
+whether the candidate moved at all. A candidate equal to the iterate has
+exactly the iterate's objective, so one whose objective fell has moved;
+the exact no-move test runs only on a step whose objective did not fall,
+which a no-move always is. The loop must keep the iterates,
 objective trace and step count of the plain per-block loop bit for bit
 (``tests/test_baselines.py`` holds that loop as a reference). It calls
 ``block_gista_step``, ``glasso_objective`` and core's numpy block helpers
@@ -87,11 +92,12 @@ def empirical_covariance(samples) -> np.ndarray:
     return 0.5 * (s + s.T)
 
 
-def glasso_objective(theta, s, lam: float) -> float:
-    """-logdet(theta) + <s, theta> + lam * off-diagonal l1 norm."""
+def glasso_objective(theta, s, lam: float, factor=None) -> float:
+    """-logdet(theta) + <s, theta> + lam * off-diagonal l1 norm. A caller
+    that already holds ``linalg.cholesky(theta)`` passes it as ``factor``."""
     sd = linalg.as_sym_matrix(s)
     td = linalg.as_sym_matrix(theta)
-    L = linalg.cholesky(td)
+    L = linalg.cholesky(td) if factor is None else factor
     logdet = 2.0 * float(np.log(np.diag(L)).sum())
     trace_term = float((sd * td).sum())
     off_l1 = float(np.abs(td).sum() - np.abs(np.diag(td)).sum())
@@ -101,15 +107,20 @@ def glasso_objective(theta, s, lam: float) -> float:
 def block_gista_step(theta12, s12, w12, gamma: float, lam: float) -> np.ndarray:
     """Soft-thresholded gradient step on one off-diagonal column:
     ST_{gamma*lam}(theta12 - gamma * (s12 - w12)), for float64 columns and
-    gamma > 0, as ``_update_block`` passes them (gamma = 2^-k, k < 60)."""
-    step = theta12 - gamma * (s12 - w12)
+    gamma > 0, as ``_update_block`` passes them (gamma = 2^-k, k < 60).
+    At gamma = 1 the product gamma * d is d exactly, so it is skipped.
+    ``np.sign(step) * ...`` is kept over ``copysign`` and ``clip``, which
+    give a thresholded entry the other zero's sign."""
+    grad = s12 - w12
+    step = theta12 - (grad if gamma == 1.0 else gamma * grad)
     return np.sign(step) * np.maximum(np.abs(step) - gamma * lam, 0.0)
 
 
-def _block_objective(x, mx, s12, s22: float, lam2: float) -> float:
+def _block_objective(x, mx, s12_dot, s22: float, lam2: float) -> float:
     # block restriction of the objective with the pivot diagonal pinned
-    # to its coordinate minimizer; constants dropped. lam2 is 2 * lam.
-    return (2.0 * float(s12.dot(x)) + s22 * float(x.dot(mx))
+    # to its coordinate minimizer; constants dropped. s12_dot is s12.dot
+    # and lam2 is 2 * lam.
+    return (2.0 * float(s12_dot(x)) + s22 * float(x.dot(mx))
             + lam2 * float(np.add.reduce(np.abs(x))))
 
 
@@ -117,26 +128,32 @@ def _update_block(theta: np.ndarray, w: np.ndarray, pivot: tuple, lam: float,
                   inner_steps: int) -> tuple[np.ndarray, np.ndarray]:
     i, flat, s12, s22, v_target = pivot  # see glasso_solve
     m = core.theta11_inverse_np(w, i)
+    step, m_dot, s12_dot = block_gista_step, m.dot, s12.dot
     lam2 = 2.0 * lam
     x = theta.take(flat)
-    mx = m.dot(x)
-    h_cur = _block_objective(x, mx, s12, s22, lam2)
+    mx = m_dot(x)
+    h_cur = _block_objective(x, mx, s12_dot, s22, lam2)
     for _ in range(inner_steps):
         w12 = -s22 * mx  # inverse column implied by the pinned diagonal
         gamma = 1.0
         moved = False
         for _ in range(_MAX_BACKTRACKS):
-            cand = block_gista_step(x, s12, w12, gamma, lam)
-            # exact no-move test: -0.0 equals 0.0 and NaN never equals
-            if not np.count_nonzero(cand != x):
-                break
-            mc = m.dot(cand)
-            h_new = _block_objective(cand, mc, s12, s22, lam2)
-            if h_new <= h_cur:
-                x, mx, h_cur = cand, mc, h_new
-                moved = True
-                break
-            gamma *= 0.5
+            cand = step(x, s12, w12, gamma, lam)
+            mc = m_dot(cand)
+            h_new = _block_objective(cand, mc, s12_dot, s22, lam2)
+            # a candidate equal to x scores exactly h_cur, so one whose
+            # objective fell has moved; testing `not <` rather than `==`
+            # sends a NaN objective through the no-move test as well
+            if not h_new < h_cur:
+                # exact no-move test: -0.0 equals 0.0 and NaN never equals
+                if not np.count_nonzero(cand != x):
+                    break
+                if not h_new <= h_cur:
+                    gamma *= 0.5
+                    continue
+            x, mx, h_cur = cand, mc, h_new
+            moved = True
+            break
         if not moved:
             break
 
@@ -172,8 +189,12 @@ def glasso_solve(s, cfg: GlassoConfig) -> np.ndarray:
         prev = obj
         for pivot in pivots:
             theta, w = _update_block(theta, w, pivot, cfg.lam, cfg.inner_steps)
-        w = linalg.spd_inverse(theta)  # bound drift of the maintained pair
-        obj = glasso_objective(theta, sd, cfg.lam)
+        # one factor serves the refresh, which bounds drift of the
+        # maintained pair, and the objective; it goes by position, as a
+        # wrapper patched over either may take no keywords
+        L = linalg.cholesky(theta)
+        w = linalg.spd_inverse(theta, L)
+        obj = glasso_objective(theta, sd, cfg.lam, L)
         if prev - obj < cfg.tol:
             break
     return theta

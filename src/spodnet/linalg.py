@@ -141,8 +141,10 @@ def _failing_pivot(m: np.ndarray) -> int:
     return p - 1
 
 
-def spd_inverse(a) -> np.ndarray:
+def spd_inverse(a, factor=None) -> np.ndarray:
     """Inverse of each SPD matrix of ``a`` via Cholesky, symmetrized on output.
+    A caller that already holds ``cholesky(a)`` passes it as ``factor``, and
+    ``a`` is then neither checked nor factored again.
 
     Each inverse is ``inv(L') inv(L)``: two LAPACK ``dtrtrs`` solves against
     U = L', the first transposed (``L X = I``), the second not (``L' Y =
@@ -153,7 +155,7 @@ def spd_inverse(a) -> np.ndarray:
     path repeats scipy's per-call checks: :func:`cholesky` has checked the
     input, and its factor has a strictly positive diagonal.
     """
-    L = cholesky(a)
+    L = cholesky(a) if factor is None else factor
     dtrtrs = _bundled_dtrtrs()
     inv = _solve_scipy(L) if dtrtrs is None else _solve_bundled(dtrtrs, L)
     return 0.5 * (inv + inv.mT)

@@ -96,6 +96,19 @@ class TestGlassoSolve:
         assert np.all(diffs <= 1e-10)
         assert is_spd(theta)
 
+    def test_one_factorization_per_sweep(self, monkeypatch):
+        # initial_state's, the first objective's, then one per sweep that
+        # the dense refresh and the sweep's objective share
+        _, s, _ = _entry(8, 24, 0.8, seed=19)
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda a: calls.append(a.shape) or cholesky(a))
+        _, trace = _traced_solve(monkeypatch, s, GlassoConfig(lam=0.05))
+        sweeps = len(trace) - 1
+        assert sweeps >= 2
+        assert calls == [(8, 8)] * (2 + sweeps)
+
     def test_estimates_are_sparse_with_moderate_penalty(self):
         _, s, _ = _entry(10, 50, 0.9, seed=5)
         theta = glasso_solve(s, GlassoConfig(lam=0.3, max_sweeps=100))
@@ -191,6 +204,30 @@ def _reference_solve(s, cfg, objective_trace):
     return theta
 
 
+def _solve_both(monkeypatch, s, cfg):
+    """Solve by the reference loop and by ``glasso_solve``, require the same
+    bits and the same steps, and return the estimate, the objective trace
+    and the number of no-move steps: steps whose output equals their x."""
+    no_moves = []
+    step = baselines.block_gista_step
+
+    def traced_step(*a):
+        out = step(*a)
+        no_moves.append(np.array_equal(out, a[0]))
+        return out
+    monkeypatch.setattr(baselines, "block_gista_step", traced_step)
+    ref_trace = []
+    ref = _reference_solve(s, cfg, ref_trace)
+    ref_no_moves = no_moves.copy()
+    no_moves.clear()
+    got, trace = _traced_solve(monkeypatch, s, cfg)
+    assert got.tobytes() == ref.tobytes()
+    assert np.array(trace).tobytes() == np.array(ref_trace).tobytes()
+    # the no-move test decides when a block stops taking steps
+    assert no_moves == ref_no_moves
+    return got, trace, sum(no_moves)
+
+
 class TestSolverMatchesReferenceLoop:
     # at p=40 the solver's ndarray.dot products, which the reference
     # takes by np.matvec, have 39 terms: several of BLAS's unrolled blocks
@@ -205,21 +242,22 @@ class TestSolverMatchesReferenceLoop:
         off = ~np.eye(p, dtype=bool)
         cfg = GlassoConfig(lam=lam_of_top * np.abs(s[off]).max(),
                            max_sweeps=200, tol=1e-8)
-        steps = []
-        step = baselines.block_gista_step
-        monkeypatch.setattr(baselines, "block_gista_step",
-                            lambda *a: steps.append(1) or step(*a))
-        ref_trace = []
-        ref = _reference_solve(s, cfg, ref_trace)
-        ref_steps = len(steps)
-        got, trace = _traced_solve(monkeypatch, s, cfg)
-        assert got.tobytes() == ref.tobytes()
-        assert np.array(trace).tobytes() == np.array(ref_trace).tobytes()
-        # the no-move test decides when a block stops taking steps
-        assert len(steps) - ref_steps == ref_steps
+        got, trace, _ = _solve_both(monkeypatch, s, cfg)
         assert len(trace) >= 2
         if lam_of_top > 1.0:
             assert not got[off].any()
+
+    @pytest.mark.parametrize("p", [8, 20])
+    def test_bit_identical_through_stagnation(self, monkeypatch, p):
+        # run on past the point where steps stop moving, so the solver's
+        # no-move exits, which it tests only after the objective did not
+        # fall, are compared against the reference's test-first order
+        _, s, _ = _entry(p, 3 * p, 0.8, seed=11 + p)
+        off = ~np.eye(p, dtype=bool)
+        cfg = GlassoConfig(lam=0.3 * np.abs(s[off]).max(), max_sweeps=400,
+                           tol=1e-14, inner_steps=8)
+        _, _, no_moves = _solve_both(monkeypatch, s, cfg)
+        assert no_moves >= 1
 
 
 class TestGlassoCv:

@@ -304,6 +304,12 @@ class TestInversePaths:
             assert np.array_equal(out[idx], expected)
             assert np.array_equal(spd_inverse(stack[idx]), expected)
 
+    def test_a_given_factor_gives_the_same_bits(self, inverse_path, p):
+        stack = _spd_stack(np.random.default_rng(p + 5), (2, 3), p)
+        for a in (stack, stack[1, 2]):
+            got = spd_inverse(a, factor=cholesky(a))
+            assert got.tobytes() == spd_inverse(a).tobytes()
+
 
 def test_ill_conditioned_inverse_is_the_solve_triangular_pair(inverse_path):
     rng = np.random.default_rng(8)

@@ -117,6 +117,20 @@ def compare_trees(a: Path, b: Path) -> list[str]:
     return lines
 
 
+def extract_src(rev: str, dest: Path) -> Path:
+    """Extract ``rev``'s ``src/`` into the new directory ``dest`` with ``git
+    archive`` and return the extracted ``src``; exit with status 2, after
+    git's message, if git cannot."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+                             capture_output=True)
+    if archive.returncode:
+        print(archive.stderr.decode(), end="", file=sys.stderr)
+        raise SystemExit(2)
+    dest.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
+    return dest / "src"
+
+
 def _run_side(src: Path, out: Path, ps) -> None:
     out.mkdir()
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(src)}
@@ -137,15 +151,7 @@ def main(argv=None) -> int:
         return 0
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
         tmp = Path(tmp)
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.rev, "src"],
-                                 capture_output=True)
-        if archive.returncode:
-            print(archive.stderr.decode(), end="", file=sys.stderr)
-            return 2
-        (tmp / "src-rev").mkdir()
-        subprocess.run(["tar", "-x", "-C", str(tmp / "src-rev")], input=archive.stdout,
-                       check=True)
-        _run_side(tmp / "src-rev" / "src", tmp / "rev", args.p)
+        _run_side(extract_src(args.rev, tmp / "src-rev"), tmp / "rev", args.p)
         _run_side(ROOT / "src", tmp / "worktree", args.p)
         lines = compare_trees(tmp / "rev", tmp / "worktree")
         count = sum(1 for p in (tmp / "worktree").rglob("*") if p.is_file())
