@@ -1,22 +1,20 @@
 """Float64 tensors with tape-based reverse-mode differentiation.
 
-A deliberately small engine, holding only the ops its callers compose:
-the layer's ``quadratic_form``, the column map's ``soft_threshold``, and
-``sub``, ``mul``, ``scale`` and ``Tensor.sum``, which only the training
-loss uses. Larger maps (each MLP call, the gradient step, the
-stabilizer, the block identities) are single ops built with ``apply_op``:
-a numpy forward plus a hand-written adjoint.
+A deliberately small engine, holding only what the package runs: the
+layer's ``quadratic_form`` and the column map's ``soft_threshold``. Every
+larger map (each MLP call, the gradient step, the stabilizer, the block
+identities, the training loss) is a single op built with ``apply_op``: a
+numpy forward plus a hand-written adjoint.
 
 All data is float64. Every op is written over leading axes, so a stack of
 independent samples with a leading batch axis runs through the same op,
 as one tape node, as a single sample does: a per-sample vector has shape
 ``(..., k)``, a per-sample matrix ``(..., k, k)`` and a per-sample scalar
-``(...)``. The elementwise ops (``sub``, ``mul`` and ``soft_threshold``)
-take operands of one shape only, so every adjoint is the plain
-elementwise product. A Tape is a per-forward-pass object, discarded after
-the backward sweep; leaf gradients accumulate additively until cleared
-with ``zero_grad``. Open tapes live on one module-level stack, so a
-process runs one forward/backward at a time.
+``(...)``. ``soft_threshold`` takes operands of one shape only, so its
+adjoint is the plain elementwise product. A Tape is a per-forward-pass
+object, discarded after its ``backward`` sweep; leaf gradients accumulate
+additively until cleared with ``zero_grad``. Open tapes live on one
+module-level stack, so a process runs one forward/backward at a time.
 """
 
 from __future__ import annotations
@@ -27,19 +25,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
-    "DomainError",
     "ShapeError",
     "Tape",
     "Tensor",
     "apply_op",
-    "backward",
-    "constant",
-    "mul",
     "parameter",
     "quadratic_form",
-    "scale",
+    "recording",
     "soft_threshold",
-    "sub",
     "zero_grad",
 ]
 
@@ -48,18 +41,9 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible with the requested operation."""
 
 
-class DomainError(ValueError):
-    """Operand values lie outside an operation's domain."""
-
-
 _TAPES: list = []
 # serials of recorded op outputs, unique in the process
 _KEYS = itertools.count(1)
-
-
-def active_tape():
-    """The innermost open Tape, or None."""
-    return _TAPES[-1] if _TAPES else None
 
 
 def recording() -> bool:
@@ -79,23 +63,6 @@ class Tensor:
         self.grad: np.ndarray | None = None
         # serial of the taped op that produced this tensor, if any
         self.key: int | None = None
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ShapeError(f"item() on tensor of shape {self.data.shape}")
-        return float(self.data.reshape(()))
-
-    def sum(self) -> "Tensor":
-        shape = self.data.shape
-
-        def vjp(g):
-            return (np.full(shape, float(g)),)
-
-        return apply_op(np.asarray(self.data.sum()), (self,), vjp)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -171,18 +138,6 @@ class Tape:
                     inp.grad = inp.grad + gi
 
 
-def backward(loss: Tensor) -> None:
-    """Run the reverse sweep of the innermost active tape."""
-    tape = active_tape()
-    if tape is None:
-        raise RuntimeError("backward called outside a Tape context")
-    tape.backward(loss)
-
-
-def constant(data) -> Tensor:
-    return Tensor(np.asarray(data, dtype=np.float64))
-
-
 def parameter(data) -> Tensor:
     """A leaf tensor that owns its buffer and receives gradients."""
     return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
@@ -211,64 +166,17 @@ def zero_grad(params: Sequence[Tensor]) -> None:
         p.grad = None
 
 
-def _check_pair(a: Tensor, b: Tensor, opname: str) -> None:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"{opname}: shapes {a.data.shape} and {b.data.shape} differ")
-
-
-# The elementwise adjoints compute and keep only what an operand that needs
-# a gradient uses, so a constant operand costs the tape nothing.
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_pair(a, b, "sub")
-    na, nb = a.requires_grad, b.requires_grad
-
-    def vjp(g):
-        return (g if na else None, -g if nb else None)
-
-    return apply_op(a.data - b.data, (a, b), vjp)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_pair(a, b, "mul")
-    # each operand's adjoint reads the other operand
-    ad = a.data if b.requires_grad else None
-    bd = b.data if a.requires_grad else None
-
-    def vjp(g):
-        return (None if bd is None else g * bd,
-                None if ad is None else g * ad)
-
-    return apply_op(a.data * b.data, (a, b), vjp)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def vjp(g):
-        return (g * c,)
-
-    return apply_op(a.data * c, (a,), vjp)
-
-
-def quadratic_form(z: Tensor, m: Tensor, zm: np.ndarray | None = None,
-                   mz: np.ndarray | None = None) -> Tensor:
+def quadratic_form(z: Tensor, m: Tensor, zm: np.ndarray, mz: np.ndarray) -> Tensor:
     """Per-sample scalar z' M z of vectors ``(..., k)`` and matrices
-    ``(..., k, k)``, shape ``(...)``, with adjoints for both operands. A
-    caller that already holds z'M or Mz passes it as ``zm`` or ``mz``,
-    and neither is computed again."""
+    ``(..., k, k)``, shape ``(...)``, with adjoints for both operands. The
+    caller passes the products it already holds: ``zm`` is z'M and ``mz``
+    is Mz. The value is (z'M) z, the association the unbatched 1-D form
+    z @ M @ z rounds in."""
     zd, md = z.data, m.data
     if zd.ndim < 1 or md.shape != zd.shape + zd.shape[-1:]:
         raise ShapeError(f"quadratic_form: vector {zd.shape} against matrix {md.shape}")
-
-    if zm is None:
-        # (z' M) z, the association the unbatched 1-D form z @ M @ z rounds in
-        zm = np.vecmat(zd, md)
     # the adjoint needs (M + M') z, not M, so a tape does not keep M alive
-    sym_z = None
-    if recording():
-        sym_z = zm + (np.matvec(md, zd) if mz is None else mz)
+    sym_z = zm + mz if recording() else None
     need_m = m.requires_grad
 
     def vjp(g):
@@ -282,13 +190,13 @@ def quadratic_form(z: Tensor, m: Tensor, zm: np.ndarray | None = None,
 def soft_threshold(x: Tensor, gamma: Tensor) -> Tensor:
     """sign(x) * max(|x| - gamma, 0), producing exact zeros in the dead zone.
 
-    ``gamma`` must be elementwise non-negative and of ``x``'s shape.
-    Subgradient convention at |x| == gamma: zero for both operands.
+    ``gamma`` is of ``x``'s shape; its sign is the caller's to keep (the
+    lambda net's ``abs`` head emits no negative value). Subgradient
+    convention at |x| == gamma: zero for both operands.
     """
-    _check_pair(x, gamma, "soft_threshold")
     xd, gd = x.data, gamma.data
-    if np.any(gd < 0.0):
-        raise DomainError("soft_threshold requires gamma >= 0")
+    if xd.shape != gd.shape:
+        raise ShapeError(f"soft_threshold: shapes {xd.shape} and {gd.shape} differ")
     mask = np.abs(xd) > gd
     sgn = np.sign(xd)
 

@@ -17,9 +17,9 @@ The column loop is written to cut interpreter round trips: each pivot's
 constants are built once per solve, the products use bound ``ndarray.dot``
 methods, and a proximal step evaluates its candidate before it asks
 whether the candidate moved at all. A candidate equal to the iterate has
-exactly the iterate's objective, so one whose objective fell has moved;
-the exact no-move test runs only on a step whose objective did not fall,
-which a no-move always is. The loop must keep the iterates,
+exactly the iterate's objective, so one whose objective fell or rose has
+moved; the exact no-move test runs only on a step whose objective is equal
+or NaN, which a no-move always is. The loop must keep the iterates,
 objective trace and step count of the plain per-block loop bit for bit
 (``tests/test_baselines.py`` holds that loop as a reference). It calls
 ``block_gista_step``, ``glasso_objective`` and core's numpy block helpers
@@ -94,10 +94,12 @@ def empirical_covariance(samples) -> np.ndarray:
 
 def glasso_objective(theta, s, lam: float, factor=None) -> float:
     """-logdet(theta) + <s, theta> + lam * off-diagonal l1 norm. A caller
-    that already holds ``linalg.cholesky(theta)`` passes it as ``factor``."""
-    sd = linalg.as_sym_matrix(s)
-    td = linalg.as_sym_matrix(theta)
-    L = linalg.cholesky(td) if factor is None else factor
+    that already holds ``linalg.cholesky(theta)`` passes it as ``factor``,
+    and ``theta`` and ``s`` are then taken as checked float64 matrices."""
+    sd, td, L = s, theta, factor
+    if factor is None:
+        sd, td = linalg.as_sym_matrix(s), linalg.as_sym_matrix(theta)
+        L = linalg.cholesky(td)
     logdet = 2.0 * float(np.log(np.diag(L)).sum())
     trace_term = float((sd * td).sum())
     off_l1 = float(np.abs(td).sum() - np.abs(np.diag(td)).sum())
@@ -142,8 +144,11 @@ def _update_block(theta: np.ndarray, w: np.ndarray, pivot: tuple, lam: float,
             mc = m_dot(cand)
             h_new = _block_objective(cand, mc, s12_dot, s22, lam2)
             # a candidate equal to x scores exactly h_cur, so one whose
-            # objective fell has moved; testing `not <` rather than `==`
-            # sends a NaN objective through the no-move test as well
+            # objective fell or rose has moved; testing `not <` rather than
+            # `==` sends a NaN objective through the no-move test as well
+            if h_new > h_cur:
+                gamma *= 0.5
+                continue
             if not h_new < h_cur:
                 # exact no-move test: -0.0 equals 0.0 and NaN never equals
                 if not np.count_nonzero(cand != x):

@@ -197,8 +197,9 @@ def init_params(variant: str, p: int, seed: int) -> ModelParams:
 
 def _grad_step(ctx: core.ColumnContext, params: ModelParams) -> Tensor:
     """theta12 - gamma * (s12 - w12) with a learned non-negative step size
-    ``(..., 1)``, as one tape op. Its adjoints round as those of the
-    composed ``sub(theta12, mul(gamma, sub(s12, w12)))`` do, with gamma
+    ``(..., 1)``, as one tape op. Its adjoints round as those of
+    ``_composed_grad_step`` in ``tests/test_models.py`` do, built from the
+    oracle ops ``sub(theta12, mul(gamma, sub(s12, w12)))`` with gamma
     broadcast along the column and its adjoint summed back."""
     gamma = params.nets["gamma"](ctx.theta12)
     gd = gamma.data

@@ -81,12 +81,20 @@ class MetricsRow:
     mean_density: float
 
 
-def mse_loss(pred: Tensor, truth) -> Tensor:
-    """Squared Frobenius distance to the target matrix, as a scalar tensor;
-    for a batch ``(..., p, p)``, the sum over its samples."""
-    td = np.asarray(getattr(truth, "data", truth), dtype=np.float64)
-    diff = ad.sub(pred, ad.constant(td))
-    return ad.mul(diff, diff).sum()
+def mse_loss(pred: Tensor, truth, weight: float = 1.0) -> Tensor:
+    """``weight`` times the squared Frobenius distance to the target matrix,
+    as one tape op; for a batch ``(..., p, p)``, summed over its samples.
+    Value and adjoint round as those of the composition
+    scale(sum(mul(d, d)), weight) of d = pred - truth, which
+    ``tests/test_training.py`` holds as the reference: the adjoint is the
+    two factors' g * weight * d, added."""
+    d = pred.data - truth
+
+    def vjp(g):
+        cd = (float(g) * weight) * d
+        return (cd + cd,)
+
+    return ad.apply_op((d * d).sum() * weight, (pred,), vjp)
 
 
 @dataclass
@@ -238,11 +246,10 @@ def train(params: models.ModelParams, train_entries, test_entries,
             truth = np.stack([e.theta_true for e in batch])
             ad.zero_grad(tensors)
             try:
-                with ad.Tape():
+                with ad.Tape() as tape:
                     out = models.forward(np.stack([e.s for e in batch]), params,
                                          layer_cfg, hook=hook)
-                    loss = mse_loss(out.theta, truth)
-                    ad.backward(ad.scale(loss, 1.0 / len(batch)))
+                    tape.backward(mse_loss(out.theta, truth, 1.0 / len(batch)))
             except core.SpdViolation as exc:
                 idx = int(order[start + exc.sample])
                 raise core.SpdViolation(f"epoch {epoch}, sample {idx}: {exc}",

@@ -1,6 +1,6 @@
 """Checks no command runs, which the tests share: the central-difference
 gradient oracle, the glasso stationarity residual, a positive-definiteness
-predicate, the one broadcasting tape op the tests compose with, and a
+predicate, the tape ops the tests compose reference maps from, and a
 randomly drawn MLP of any widths.
 """
 
@@ -9,8 +9,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from spodnet import linalg
-from spodnet.autodiff import (DomainError, Tape, Tensor, apply_op, backward,
-                              parameter, zero_grad)
+from spodnet.autodiff import Tape, Tensor, apply_op, parameter, zero_grad
 from spodnet.linalg import NotPositiveDefinite, cholesky
 from spodnet.models import Mlp, MlpSpec
 
@@ -28,8 +27,8 @@ def random_mlp(spec: MlpSpec, rng: np.random.Generator) -> Mlp:
 
 def broadcast_to(t: Tensor, shape: tuple) -> Tensor:
     """``t`` broadcast to ``shape`` as one tape op. The adjoint sums over
-    the broadcast axes, so ``mul(broadcast_to(a, b.shape), b)`` rounds as
-    the engine's broadcasting ``mul(a, b)`` did."""
+    the broadcast axes, so ``mul(broadcast_to(a, b.data.shape), b)``
+    rounds as a broadcasting ``mul(a, b)`` would."""
     tshape = t.data.shape
 
     def vjp(g):
@@ -39,6 +38,58 @@ def broadcast_to(t: Tensor, shape: tuple) -> Tensor:
         return (g.sum(axis=axes).reshape(tshape),)
 
     return apply_op(np.broadcast_to(t.data, shape), (t,), vjp)
+
+
+# Elementwise ops of operands of one shape, from which the tests compose
+# the reference maps the package's fused ops must match bit for bit. An
+# adjoint keeps only what an operand that needs a gradient reads.
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    assert a.data.shape == b.data.shape
+    na, nb = a.requires_grad, b.requires_grad
+
+    def vjp(g):
+        return (g if na else None, -g if nb else None)
+
+    return apply_op(a.data - b.data, (a, b), vjp)
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    assert a.data.shape == b.data.shape
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
+
+    def vjp(g):
+        return (None if bd is None else g * bd,
+                None if ad is None else g * ad)
+
+    return apply_op(a.data * b.data, (a, b), vjp)
+
+
+def scale(a: Tensor, c: float) -> Tensor:
+    c = float(c)
+    return apply_op(a.data * c, (a,), lambda g: (g * c,))
+
+
+def weighted_sum(x: Tensor, w: Tensor) -> Tensor:
+    """The scalar sum(x * w) as one op, bit for bit the composed
+    ``sum(mul(x, w))``: a tape's backward from it hands ``x`` the adjoint
+    ``w``, so with a random ``w`` it checks every entry of an op's
+    adjoint at once."""
+    assert x.data.shape == w.data.shape
+    xd, wd = x.data, w.data
+
+    def vjp(g):
+        g = float(g)
+        return (g * wd, g * xd)
+
+    return apply_op(np.asarray((xd * wd).sum()), (x, w), vjp)
+
+
+def total(x: Tensor) -> Tensor:
+    """The scalar sum of ``x``'s entries, as :func:`weighted_sum` by ones."""
+    return weighted_sum(x, Tensor(np.ones(x.data.shape)))
 
 
 def finite_diff_check(loss_fn: Callable[[], Tensor], params: Sequence[Tensor],
@@ -51,11 +102,11 @@ def finite_diff_check(loss_fn: Callable[[], Tensor], params: Sequence[Tensor],
     The relative error uses max(1, |central|) as denominator.
     """
     if h <= 0:
-        raise DomainError("finite_diff_check requires h > 0")
+        raise ValueError("finite_diff_check requires h > 0")
     params = list(params)
     zero_grad(params)
-    with Tape():
-        backward(loss_fn())
+    with Tape() as tape:
+        tape.backward(loss_fn())
     worst = 0.0
     for p in params:
         flat = p.data.reshape(-1)

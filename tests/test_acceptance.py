@@ -298,10 +298,10 @@ class TestCriterion6:
                 ad.zero_grad(tensors)
                 for idx in batch:
                     entry = train[int(idx)]
-                    with ad.Tape():
+                    with ad.Tape() as tape:
                         out = models.forward(entry.s, params, LayerConfig())
-                        loss = training.mse_loss(out.theta, entry.theta_true)
-                        ad.backward(ad.scale(loss, 1.0 / len(batch)))
+                        tape.backward(training.mse_loss(out.theta, entry.theta_true,
+                                                        1.0 / len(batch)))
                 training.adam_step(tensors, [t.grad for t in tensors], opt, cfg)
             for entry in test:
                 out = models.forward(entry.s, params, LayerConfig())

@@ -1,5 +1,7 @@
 """Penalized-likelihood solver and shrinkage estimators."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,56 @@ class TestGlassoSolve:
         sweeps = len(trace) - 1
         assert sweeps >= 2
         assert calls == [(8, 8)] * (2 + sweeps)
+
+    def test_one_symmetry_check_per_sweep(self, monkeypatch):
+        # a sweep's Cholesky checks Theta; the objective that takes its
+        # factor checks neither Theta nor S again
+        _, s, _ = _entry(8, 24, 0.8, seed=19)
+        calls = []
+        as_sym_array = linalg.as_sym_array
+        monkeypatch.setattr(linalg, "as_sym_array",
+                            lambda a: calls.append(1) or as_sym_array(a))
+        counts = []
+        for cfg in (GlassoConfig(lam=0.05, max_sweeps=1), GlassoConfig(lam=0.05)):
+            calls.clear()
+            _, trace = _traced_solve(monkeypatch, s, cfg)
+            counts.append((len(calls), len(trace) - 1))
+        (once, one), (total, sweeps) = counts
+        assert one == 1 and sweeps >= 2
+        assert total - once == sweeps - 1
+
+    def test_no_move_test_only_when_the_objective_did_not_rise(self, monkeypatch):
+        # a candidate equal to x scores exactly x's objective, so a step
+        # whose objective rose halves gamma without the exact no-move test;
+        # run past stagnation, as the reference comparison does, so that
+        # some steps take that test
+        _, s, _ = _entry(8, 24, 0.8, seed=19)
+        off = ~np.eye(8, dtype=bool)
+        rose, tested_rising = [], []
+        objective = baselines._block_objective
+
+        def traced_objective(*a):
+            h = objective(*a)
+            h_cur = sys._getframe(1).f_locals.get("h_cur")  # _update_block's
+            rose.append(h_cur is not None and h > h_cur)
+            return h
+
+        class Numpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def count_nonzero(a):
+                caller = sys._getframe(1).f_locals
+                tested_rising.append(caller["h_new"] > caller["h_cur"])
+                return np.count_nonzero(a)
+
+        monkeypatch.setattr(baselines, "_block_objective", traced_objective)
+        monkeypatch.setattr(baselines, "np", Numpy())
+        glasso_solve(s, GlassoConfig(lam=0.3 * np.abs(s[off]).max(), max_sweeps=400,
+                                     tol=1e-14, inner_steps=8))
+        assert any(rose) and tested_rising
+        assert not any(tested_rising)
 
     def test_estimates_are_sparse_with_moderate_penalty(self):
         _, s, _ = _entry(10, 50, 0.9, seed=5)

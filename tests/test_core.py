@@ -16,7 +16,9 @@ from spodnet.core import (LayerConfig, SpdState, SpdViolation, UpdateFns,
                           theta11_inverse_np, theta_plus, theta_plus_np,
                           w_plus)
 
-from oracles import broadcast_to, finite_diff_check
+from spodnet.training import mse_loss
+
+from oracles import broadcast_to, finite_diff_check, mul, sub, total, weighted_sum
 
 
 def _random_spd(rng, p, shift=1.0):
@@ -44,7 +46,7 @@ def _identity_fns():
         return ctx.theta12
 
     def g(ctx, u, q):
-        return ad.sub(ctx.theta22, ad.quadratic_form(ctx.theta12, ctx.theta11_inv))
+        return sub(ctx.theta22, q)
 
     return UpdateFns(f=f, g=g)
 
@@ -224,7 +226,7 @@ class TestBlockOpAdjoints:
 
     def _check(self, op, inputs, weights):
         err = finite_diff_check(
-            lambda: ad.mul(op(*inputs), Tensor(weights)).sum(), inputs)
+            lambda: weighted_sum(op(*inputs), Tensor(weights)), inputs)
         assert err <= self.TOL
 
     def test_theta11_inverse(self):
@@ -277,7 +279,7 @@ class TestBlockOpAdjoints:
         # a symmetric direction, since the inverse takes symmetric input only
         c = ad.parameter(0.3)
         direction = Tensor(self._setup(46, batch)[1])
-        self._check(lambda c: core.spd_inverse_op(ad.sub(Tensor(theta), ad.mul(
+        self._check(lambda c: core.spd_inverse_op(sub(Tensor(theta), mul(
             broadcast_to(c, theta.shape), Tensor(-direction.data)))),
                     [c], rng.standard_normal(batch + (6, 6)))
 
@@ -339,7 +341,7 @@ class TestStabilizer:
             stabilize_preactivation(z, m, 2.5)
         assert len(tape.nodes) == 1
         err = finite_diff_check(
-            lambda: ad.mul(stabilize_preactivation(z, m, 2.5), cot).sum(), [z, m])
+            lambda: weighted_sum(stabilize_preactivation(z, m, 2.5), cot), [z, m])
         assert err <= 1e-7
 
 
@@ -575,9 +577,7 @@ class TestGradients:
         cfg = LayerConfig(tape_mode="full")
 
         def loss():
-            out = models.forward(s, params, cfg)
-            return ad.mul(ad.sub(out.theta, Tensor(theta_true)),
-                          ad.sub(out.theta, Tensor(theta_true))).sum()
+            return mse_loss(models.forward(s, params, cfg).theta, theta_true)
 
         assert finite_diff_check(loss, params.tensors()) <= 1e-5
 
@@ -593,8 +593,7 @@ class TestGradients:
 
         def loss():
             out = models.forward(s, params, cfg, w_replay=record)
-            return ad.mul(ad.sub(out.theta, Tensor(theta_true)),
-                          ad.sub(out.theta, Tensor(theta_true))).sum()
+            return mse_loss(out.theta, theta_true)
 
         assert finite_diff_check(loss, params.tensors()) <= 1e-5
 
@@ -791,10 +790,10 @@ class TestMultiLayerGradients:
         coefs = [ad.parameter(c) for c in (1.0, 0.3, -0.2)]
 
         def loss():
-            m = ad.mul(broadcast_to(coefs[0], (4, 4)), basis[0])
+            m = mul(broadcast_to(coefs[0], (4, 4)), basis[0])
             for c, b in zip(coefs[1:], basis[1:]):
-                m = ad.sub(m, ad.mul(broadcast_to(c, (4, 4)), Tensor(-b.data)))
-            return core.spd_inverse_op(m).sum()
+                m = sub(m, mul(broadcast_to(c, (4, 4)), Tensor(-b.data)))
+            return total(core.spd_inverse_op(m))
 
         assert finite_diff_check(loss, coefs) <= 1e-8
 
@@ -811,11 +810,10 @@ class TestMultiLayerGradients:
         out_f = models.forward(s, params,
                                LayerConfig(tape_mode="full", num_layers=2))
         assert np.array_equal(out_d.theta.data, out_f.theta.data)
-        with ad.Tape():
-            from spodnet.training import mse_loss
+        with ad.Tape() as tape:
             out = models.forward(s, params,
                                  LayerConfig(tape_mode="full", num_layers=2))
-            ad.backward(mse_loss(out.theta, theta_true))
+            tape.backward(mse_loss(out.theta, theta_true))
         assert any(t.grad is not None and np.abs(t.grad).max() > 0
                    for t in params.tensors())
 

@@ -12,7 +12,8 @@ from spodnet.core import ColumnContext, LayerConfig
 from spodnet.models import (VARIANTS, g_eval, init_params, load_checkpoint,
                             save_checkpoint)
 
-from oracles import broadcast_to, finite_diff_check, random_mlp
+from oracles import (broadcast_to, finite_diff_check, mul, random_mlp, scale, sub,
+                     weighted_sum)
 
 
 def _zero_net(net):
@@ -64,7 +65,7 @@ class TestMlpOp:
         net, x, rng = self._net(head)
         cot = Tensor(rng.standard_normal(2))
         inputs = [x, *net.tensors()]
-        err = finite_diff_check(lambda: ad.mul(net(x), cot).sum(), inputs)
+        err = finite_diff_check(lambda: weighted_sum(net(x), cot), inputs)
         assert err <= 1e-7
 
 
@@ -86,7 +87,7 @@ class TestMlpScalarInputs:
         out = net(*parts).data
         assert np.array_equal(out, net(Tensor(np.stack([t.data for t in parts], -1))).data)
         cot = Tensor(rng.standard_normal(out.shape))
-        err = finite_diff_check(lambda: ad.mul(net(*parts), cot).sum(),
+        err = finite_diff_check(lambda: weighted_sum(net(*parts), cot),
                                 [*parts, *net.tensors()])
         assert err <= 1e-7
 
@@ -105,8 +106,8 @@ def _stack_scalars(parts):
 
 def _composed_grad_step(ctx, params):
     gamma = params.nets["gamma"](ctx.theta12)
-    diff = ad.sub(ctx.s12, ctx.w12)
-    return ad.sub(ctx.theta12, ad.mul(broadcast_to(gamma, diff.shape), diff))
+    diff = sub(ctx.s12, ctx.w12)
+    return sub(ctx.theta12, mul(broadcast_to(gamma, diff.data.shape), diff))
 
 
 def _composed_g_eval(theta22, s22, schur_quad, params):
@@ -115,7 +116,7 @@ def _composed_g_eval(theta22, s22, schur_quad, params):
     net = params.nets["g"]
     bare = models.Mlp(replace(net.spec, floor=0.0), net.weights, net.biases)
     out = bare(_stack_scalars((theta22, s22, schur_quad)))
-    return ad.sub(out, broadcast_to(ad.constant([-models.G_FLOOR]), out.shape))
+    return sub(out, broadcast_to(Tensor([-models.G_FLOOR]), out.data.shape))
 
 
 def _run(build, leaves, cot):
@@ -125,7 +126,7 @@ def _run(build, leaves, cot):
     with ad.Tape() as tape:
         out = build()
         nodes = len(tape.nodes)
-        ad.backward(ad.mul(out, Tensor(cot)).sum())
+        tape.backward(weighted_sum(out, Tensor(cot)))
     return out.data, [t.grad for t in leaves], nodes
 
 
@@ -166,7 +167,7 @@ class TestFusedOps:
         _assert_bit_equal(grads, ref_grads)
         assert (nodes, ref_nodes) == (2, 5 if mode == "full" else 4)
         err = finite_diff_check(
-            lambda: ad.mul(models._grad_step(ctx, params), Tensor(cot)).sum(), leaves)
+            lambda: weighted_sum(models._grad_step(ctx, params), Tensor(cot)), leaves)
         assert err <= 1e-7
 
     @pytest.mark.parametrize("batch", [(), (3,)])
@@ -190,7 +191,7 @@ class TestFusedOps:
         _assert_bit_equal(grads, ref_grads)
         assert (nodes, ref_nodes) == (1, 3)
         err = finite_diff_check(
-            lambda: ad.mul(g_eval(theta22, s22, quad, params), Tensor(cot)).sum(), leaves)
+            lambda: weighted_sum(g_eval(theta22, s22, quad, params), Tensor(cot)), leaves)
         assert err <= 1e-7
 
     @pytest.mark.parametrize("batch", [(), (3,)])
@@ -207,12 +208,12 @@ class TestFusedOps:
         leaves = [x, *net.tensors()]
         cot = rng.standard_normal(batch + (5,))
         out, grads, nodes = _run(lambda: net(x), leaves, cot)
-        ref_out, ref_grads, ref_nodes = _run(lambda: ad.scale(bare(x), 0.1), leaves, cot)
+        ref_out, ref_grads, ref_nodes = _run(lambda: scale(bare(x), 0.1), leaves, cot)
         assert net.spec.scale == 0.1
         assert np.array_equal(out, ref_out)
         _assert_bit_equal(grads, ref_grads)
         assert (nodes, ref_nodes) == (1, 2)
-        err = finite_diff_check(lambda: ad.mul(net(x), Tensor(cot)).sum(), leaves)
+        err = finite_diff_check(lambda: weighted_sum(net(x), Tensor(cot)), leaves)
         assert err <= 1e-7
 
     # healthy inits: the margin net starts off its floor on these samples
@@ -229,9 +230,9 @@ class TestFusedOps:
 
         def run():
             ad.zero_grad(tensors)
-            with ad.Tape():
+            with ad.Tape() as tape:
                 out = models.forward(s, params, cfg)
-                ad.backward(mse_loss(out.theta, truth))
+                tape.backward(mse_loss(out.theta, truth))
             return [out.theta.data, out.w.data] + [t.grad for t in tensors]
 
         fused = run()
@@ -245,15 +246,15 @@ class TestFusedOps:
     # the gamma net and the step and adds the phi net (9). Theta starts as a
     # constant, so pivot 0 records neither read. The full tape adds the
     # inverse's three ops from pivot 1 on (its start is a constant too), W's
-    # update at pivot 0 and the boundary inverse. The loss adds sub, mul, sum
-    # and the 1/B scale.
+    # update at pivot 0 and the boundary inverse. The loss, with its 1/B
+    # weight, is one op.
     @pytest.mark.parametrize("variant,mode,nodes", [
-        ("ubg", "detached", 8 + 5 * 10 + 4),
-        ("ubg", "full", 9 + 5 * 13 + 1 + 4),
-        ("pnp", "detached", 9 + 5 * 11 + 4),
-        ("pnp", "full", 10 + 5 * 14 + 1 + 4),
-        ("e2e", "detached", 7 + 5 * 9 + 4),
-        ("e2e", "full", 8 + 5 * 12 + 1 + 4),
+        ("ubg", "detached", 8 + 5 * 10 + 1),
+        ("ubg", "full", 9 + 5 * 13 + 1 + 1),
+        ("pnp", "detached", 9 + 5 * 11 + 1),
+        ("pnp", "full", 10 + 5 * 14 + 1 + 1),
+        ("e2e", "detached", 7 + 5 * 9 + 1),
+        ("e2e", "full", 8 + 5 * 12 + 1 + 1),
     ])
     def test_tape_nodes_of_a_minibatch(self, variant, mode, nodes):
         from spodnet.training import mse_loss
@@ -263,7 +264,7 @@ class TestFusedOps:
         params = init_params(variant, 6, seed=2)
         with ad.Tape() as tape:
             out = models.forward(s, params, LayerConfig(tape_mode=mode))
-            ad.backward(ad.scale(mse_loss(out.theta, truth), 1.0 / 3))
+            tape.backward(mse_loss(out.theta, truth, 1.0 / 3))
         assert len(tape.nodes) == nodes
 
 
@@ -619,9 +620,9 @@ class TestBatchEquivalence:
 
         def run(s, truth):
             ad.zero_grad(tensors)
-            with ad.Tape():
+            with ad.Tape() as tape:
                 out = models.forward(s, params, cfg)
-                ad.backward(mse_loss(out.theta, truth))
+                tape.backward(mse_loss(out.theta, truth))
             return out, [np.zeros_like(t.data) if t.grad is None else t.grad
                          for t in tensors]
 

@@ -11,6 +11,8 @@ from spodnet.training import (AdamState, MetricsRow, TrainConfig, adam_step,
                               evaluate, mse_loss, offdiag_density, score_stack,
                               train)
 
+from oracles import mul, scale, sub, total
+
 
 def _dataset(p=10, n=50, num=8, alpha=0.9, seed=42):
     return datagen.build_dataset(
@@ -20,18 +22,47 @@ def _dataset(p=10, n=50, num=8, alpha=0.9, seed=42):
 class TestMseLoss:
     def test_zero_at_truth(self):
         t = np.array([[2.0, 0.5], [0.5, 1.0]])
-        assert mse_loss(Tensor(t), t).item() == 0.0
+        assert mse_loss(Tensor(t), t).data == 0.0
 
     def test_identity_offset(self):
         t = np.array([[2.0, 0.5], [0.5, 1.0]])
-        assert mse_loss(Tensor(t + np.eye(2)), t).item() == pytest.approx(2.0)
+        assert float(mse_loss(Tensor(t + np.eye(2)), t).data) == pytest.approx(2.0)
 
     def test_gradient_is_two_times_residual(self):
         truth = np.array([[1.0, 0.0], [0.0, 1.0]])
         pred = ad.parameter([[2.0, 0.5], [0.5, 3.0]])
-        with Tape():
-            ad.backward(mse_loss(pred, truth))
+        with Tape() as tape:
+            tape.backward(mse_loss(pred, truth))
         assert np.allclose(pred.grad, 2.0 * (pred.data - truth))
+
+    @pytest.mark.parametrize("weight", [1.0, 1.0 / 3])
+    @pytest.mark.parametrize("leaf", [True, False])
+    def test_one_op_with_the_bits_of_the_composed_loss(self, weight, leaf):
+        # the composition scale(sum(mul(d, d)), weight) of d = pred - truth,
+        # on a stack of 3; pred is a leaf or the output of a recorded op
+        rng = np.random.default_rng(5)
+        truth = rng.standard_normal((3, 4, 4))
+        base = ad.parameter(rng.standard_normal((3, 4, 4)))
+
+        def run(loss_fn):
+            ad.zero_grad([base])
+            with Tape() as tape:
+                pred = base if leaf else scale(base, 1.0)
+                start = len(tape.nodes)
+                loss = loss_fn(pred)
+                nodes = len(tape.nodes) - start
+                tape.backward(loss)
+            return loss.data, base.grad, nodes
+
+        def composed(pred):
+            d = sub(pred, Tensor(truth))
+            return scale(total(mul(d, d)), weight)
+
+        value, grad, nodes = run(lambda pred: mse_loss(pred, truth, weight))
+        ref_value, ref_grad, ref_nodes = run(composed)
+        assert value.tobytes() == ref_value.tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+        assert (nodes, ref_nodes) == (1, 4)
 
 
 class TestAdam:
