@@ -1,10 +1,10 @@
 """Float64 tensors with tape-based reverse-mode differentiation.
 
-A deliberately small engine, holding only what the package runs: the
-layer's ``quadratic_form`` and the column map's ``soft_threshold``. Every
-larger map (each MLP call, the gradient step, the stabilizer, the block
-identities, the training loss) is a single op built with ``apply_op``: a
-numpy forward plus a hand-written adjoint.
+A deliberately small engine, holding only what the package runs: its one
+op is the column map's ``soft_threshold``. Every larger map (each MLP
+call, the gradient step, the stabilizer, the Schur quadratic and the block
+identities in ``core``, the training loss) is a single op built with
+``apply_op``: a numpy forward plus a hand-written adjoint.
 
 All data is float64. Every op is written over leading axes, so a stack of
 independent samples with a leading batch axis runs through the same op,
@@ -30,7 +30,6 @@ __all__ = [
     "Tensor",
     "apply_op",
     "parameter",
-    "quadratic_form",
     "recording",
     "soft_threshold",
     "zero_grad",
@@ -117,10 +116,14 @@ class Tape:
 
         Interior adjoints live only for the duration of this call, so
         running backward again re-derives them from scratch and adds the
-        same contributions onto the leaves once more.
+        same contributions onto the leaves once more. A loss this tape did
+        not record (built with no tape open, or on another tape) raises
+        RuntimeError, since every gradient would silently stay untouched.
         """
         if loss.data.size != 1:
             raise ShapeError("backward requires a scalar loss")
+        if loss.key not in self._produced:
+            raise RuntimeError("backward: the loss was not recorded on this tape")
         flows: dict[int | None, np.ndarray] = {loss.key: np.ones_like(loss.data)}
         for node in reversed(self.nodes):
             g = flows.pop(node.key, None)
@@ -164,27 +167,6 @@ def apply_op(out_data, inputs: tuple[Tensor, ...], vjp: Callable) -> Tensor:
 def zero_grad(params: Sequence[Tensor]) -> None:
     for p in params:
         p.grad = None
-
-
-def quadratic_form(z: Tensor, m: Tensor, zm: np.ndarray, mz: np.ndarray) -> Tensor:
-    """Per-sample scalar z' M z of vectors ``(..., k)`` and matrices
-    ``(..., k, k)``, shape ``(...)``, with adjoints for both operands. The
-    caller passes the products it already holds: ``zm`` is z'M and ``mz``
-    is Mz. The value is (z'M) z, the association the unbatched 1-D form
-    z @ M @ z rounds in."""
-    zd, md = z.data, m.data
-    if zd.ndim < 1 or md.shape != zd.shape + zd.shape[-1:]:
-        raise ShapeError(f"quadratic_form: vector {zd.shape} against matrix {md.shape}")
-    # the adjoint needs (M + M') z, not M, so a tape does not keep M alive
-    sym_z = zm + mz if recording() else None
-    need_m = m.requires_grad
-
-    def vjp(g):
-        g = g[..., None]
-        dm = g[..., None] * (zd[..., :, None] * zd[..., None, :]) if need_m else None
-        return (g * sym_z, dm)
-
-    return apply_op(np.vecdot(zm, zd), (z, m), vjp)
 
 
 def soft_threshold(x: Tensor, gamma: Tensor) -> Tensor:

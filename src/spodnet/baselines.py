@@ -92,6 +92,12 @@ def empirical_covariance(samples) -> np.ndarray:
     return 0.5 * (s + s.T)
 
 
+def _neg_loglik(td: np.ndarray, sd: np.ndarray, L: np.ndarray) -> float:
+    """-logdet(theta) + <s, theta> as -2 sum(log diag L) + <s, theta>, for
+    float64 ``td`` and ``sd`` and ``L`` = cholesky(theta)."""
+    return -2.0 * float(np.log(np.diag(L)).sum()) + float((sd * td).sum())
+
+
 def glasso_objective(theta, s, lam: float, factor=None) -> float:
     """-logdet(theta) + <s, theta> + lam * off-diagonal l1 norm. A caller
     that already holds ``linalg.cholesky(theta)`` passes it as ``factor``,
@@ -100,10 +106,8 @@ def glasso_objective(theta, s, lam: float, factor=None) -> float:
     if factor is None:
         sd, td = linalg.as_sym_matrix(s), linalg.as_sym_matrix(theta)
         L = linalg.cholesky(td)
-    logdet = 2.0 * float(np.log(np.diag(L)).sum())
-    trace_term = float((sd * td).sum())
     off_l1 = float(np.abs(td).sum() - np.abs(np.diag(td)).sum())
-    return -logdet + trace_term + lam * off_l1
+    return _neg_loglik(td, sd, L) + lam * off_l1
 
 
 def block_gista_step(theta12, s12, w12, gamma: float, lam: float) -> np.ndarray:
@@ -220,8 +224,7 @@ def default_lambda_grid(samples, size: int) -> list[float]:
 
 def _holdout_nll(theta, s_holdout) -> float:
     L = linalg.cholesky(theta)  # checks theta's symmetry as well
-    td = np.asarray(theta, dtype=np.float64)
-    return -2.0 * float(np.log(np.diag(L)).sum()) + float((s_holdout * td).sum())
+    return _neg_loglik(np.asarray(theta, dtype=np.float64), s_holdout, L)
 
 
 def glasso_cv(samples, lambda_grid, folds: int,

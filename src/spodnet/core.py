@@ -15,10 +15,13 @@ Each of the three block identities (reduced-block inverse, updated matrix,
 updated inverse) is computed by one numpy function, ``*_np``, which the
 glasso baseline also calls; the tape op of the same name without the
 suffix runs that function and carries its hand-written adjoint. An update
-forms u' inv(Theta_11) and inv(Theta_11) u once: the Schur quadratic reads
-the first, the updated pivot and inverse the second, and the adjoints of
-the quadratic and of the updated matrix their sum. So the identities take
-those products from their caller instead of multiplying again.
+forms u' M and M u once, M = inv(Theta_11): the Schur quadratic (the g
+net's input) reads the first, the updated pivot and inverse the second. So
+the identities take those products from their caller instead of
+multiplying again. While a tape records, the layer also forms their sum
+(M + M') u, which the adjoints of the quadratic and of the updated matrix
+read; every form z' M z, the stabilizer's too, takes its adjoint from one
+helper.
 
 Every function here takes matrices of shape ``(..., p, p)``: a stack of
 independent samples with a leading batch axis runs through the same code,
@@ -65,6 +68,7 @@ __all__ = [
     "diag_entry",
     "initial_state",
     "rank2_delta_eigs",
+    "schur_quadratic",
     "spd_inverse_op",
     "spodnet_forward",
     "spodnet_layer",
@@ -296,6 +300,30 @@ def spd_inverse_op(a: Tensor) -> Tensor:
     return apply_op(inv, (a,), vjp)
 
 
+# -- quadratic forms z' M z in M = inv(Theta_11) --------------------------
+
+
+def _quad_adjoint(c, z: np.ndarray, sym: np.ndarray, need_m: bool):
+    """Adjoints of c z' M z for per-sample ``c``: c (M + M') z to z, from
+    ``sym`` = (M + M') z so that a tape does not keep M alive, and c z z'
+    to M when ``need_m`` (else None)."""
+    dm = c[..., None, None] * (z[..., :, None] * z[..., None, :]) if need_m else None
+    return c[..., None] * sym, dm
+
+
+def schur_quadratic(u: Tensor, theta11_inv: Tensor, um: np.ndarray,
+                    sym: np.ndarray | None) -> Tensor:
+    """Per-sample u' inv(Theta_11) u, shape ``(...)``, with adjoints for both
+    operands, given ``um`` = u' inv(Theta_11) and ``sym`` = (M + M') u, which
+    the layer forms only while a tape records (None otherwise). The value is
+    (u' M) u, the association the unbatched 1-D form u @ M @ u rounds in."""
+    ud, md, need_m = u.data, theta11_inv.data, theta11_inv.requires_grad
+    if ud.ndim < 1 or md.shape != ud.shape + ud.shape[-1:]:
+        raise ad.ShapeError(f"schur_quadratic: vector {ud.shape} against matrix {md.shape}")
+    return apply_op(np.vecdot(um, ud), (u, theta11_inv),
+                    lambda g: _quad_adjoint(g, ud, sym, need_m))
+
+
 # -- block identities: numpy forward, tape op with its adjoint -------------
 #
 # The tape ops call the numpy functions by their module-global names, so a
@@ -355,16 +383,14 @@ def theta_plus_np(theta: np.ndarray, i: int, u: np.ndarray, v,
 
 
 def theta_plus(theta: Tensor, u: Tensor, v: Tensor, theta11_inv: Tensor,
-               i: int, um: np.ndarray, mu: np.ndarray) -> Tensor:
-    """Tape op for :func:`theta_plus_np`, given u' inv(Theta_11) and
-    inv(Theta_11) u as ``um`` and ``mu``; ``u`` fills both the row and the
-    column, so its adjoint collects both sides plus the pivot's quadratic."""
+               i: int, mu: np.ndarray, sym: np.ndarray | None) -> Tensor:
+    """Tape op for :func:`theta_plus_np`, given ``mu`` and ``sym`` as the
+    layer forms them; ``u`` fills both the row and the column, so its
+    adjoint collects both sides plus the pivot's quadratic."""
     ud = u.data
     vshape = v.data.shape
     out = theta_plus_np(theta.data, i, ud, v.data.reshape(theta.data.shape[:-2]), mu)
     rest = linalg.rest_indices(out.shape[-1], i)
-    # the adjoint needs (M + M') u, not M, so a tape does not keep M alive
-    sym_u = um + mu if ad.recording() else None
     need_m = theta11_inv.requires_grad
 
     def vjp(g):
@@ -372,9 +398,8 @@ def theta_plus(theta: Tensor, u: Tensor, v: Tensor, theta11_inv: Tensor,
         dtheta = g.copy()
         dtheta[..., i, :] = 0.0
         dtheta[..., :, i] = 0.0
-        du = _col(g, i, rest) + _row(g, i, rest) + gii[..., None] * sym_u
-        dm = gii[..., None, None] * (ud[..., :, None] * ud[..., None, :]) if need_m else None
-        return (dtheta, du, gii.reshape(vshape), dm)
+        dq, dm = _quad_adjoint(gii, ud, sym, need_m)
+        return (dtheta, _col(g, i, rest) + _row(g, i, rest) + dq, gii.reshape(vshape), dm)
 
     return apply_op(out, (theta, u, v, theta11_inv), vjp)
 
@@ -442,15 +467,14 @@ def stabilize_preactivation(z: Tensor, theta11_inv: Tensor, zeta: float) -> Tens
     t = np.sqrt(np.where(live, q, 1.0))
     r = 1.0 / t
     s = np.where(live, r * c, 1.0)[..., None]
-    # the adjoint needs (M + M') z, not M, so a tape does not keep M alive
+    # z is not the layer's u, so the stabilizer forms its own (M + M') z
     sym_z = zm + np.matvec(md, zd) if ad.recording() else None
     need_m = theta11_inv.requires_grad
 
     def vjp(g):
         dq = np.where(live, -((g * zd).sum(axis=-1) * c) * r * r * (0.5 / t), 0.0)
-        dq = dq[..., None]
-        dm = dq[..., None] * (zd[..., :, None] * zd[..., None, :]) if need_m else None
-        return (g * s + dq * sym_z, dm)
+        dz, dm = _quad_adjoint(dq, zd, sym_z, need_m)
+        return (g * s + dz, dm)
 
     return apply_op(s * zd, (z, theta11_inv), vjp)
 
@@ -462,15 +486,14 @@ def rank2_delta_eigs(col_diff, diag_diff):
     The perturbation carries ``col_diff`` (``(..., p - 1)``) on one
     column/row pair and ``diag_diff`` (the batch shape) on the pivot
     diagonal; its rank is at most 2 and the nonzero eigenvalues are
-    (d +/- sqrt(d^2 + 4 ||c||^2)) / 2. Returns (larger, smaller): floats for
-    one perturbation, arrays of the batch shape for a stack.
+    (d +/- sqrt(d^2 + 4 ||c||^2)) / 2. Returns (larger, smaller), each of
+    the batch shape.
     """
     # contiguous, so a stack's strided rows round as one contiguous vector does
     c = np.ascontiguousarray(col_diff, dtype=np.float64)
     d = np.asarray(diag_diff, dtype=np.float64)
     root = np.sqrt(d * d + 4.0 * np.vecdot(c, c))
-    hi, lo = 0.5 * (d + root), 0.5 * (d - root)
-    return (float(hi), float(lo)) if c.ndim == 1 else (hi, lo)
+    return 0.5 * (d + root), 0.5 * (d - root)
 
 
 def bauer_fike_check(eigs_before, eigs_after, delta_op_norm):
@@ -478,13 +501,10 @@ def bauer_fike_check(eigs_before, eigs_after, delta_op_norm):
     up to ``BAUER_FIKE_SLACK``, for the spectra of one matrix pair or of a
     stack of pairs (:func:`linalg.spectrum`), ``delta_op_norm`` per pair.
 
-    Returns (within bound, max excess over the bound): a bool and a float
-    for one pair, arrays of the batch shape for a stack; the excess is
-    negative when the bound holds with room to spare.
+    Returns (within bound, max excess over the bound), each of the batch
+    shape; the excess is negative when the bound holds with room to spare.
     """
     excess = (np.abs(eigs_before - eigs_after) - np.asarray(delta_op_norm)[..., None]).max(-1)
-    if eigs_before.ndim == 1:
-        return bool(excess <= BAUER_FIKE_SLACK), float(excess)
     return excess <= BAUER_FIKE_SLACK, excess
 
 
@@ -540,12 +560,13 @@ def spodnet_layer(state: SpdState, fns: UpdateFns, cfg: LayerConfig,
         # first, the pivot and W+ the second, and both adjoints their sum
         md, ud = t11inv.data, u.data
         um, mu = np.vecmat(ud, md), np.matvec(md, ud)
-        v = fns.g(ctx, u, ad.quadratic_form(u, t11inv, um, mu))
+        sym = um + mu if ad.recording() else None
+        v = fns.g(ctx, u, schur_quadratic(u, t11inv, um, sym))
         vval = v.data.reshape(batch)
         _require(np.isfinite(vval) & (vval > 0.0),
                  lambda j: f"margin v = {float(vval.reshape(-1)[j])!r} at pivot {i} "
                            "is not positive")
-        theta = theta_plus(theta, u, v, t11inv, i, um, mu)
+        theta = theta_plus(theta, u, v, t11inv, i, mu, sym)
         if use_tape_w:
             w = w_plus(t11inv, u, v, i, mu)
             wd = w.data

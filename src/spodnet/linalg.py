@@ -198,8 +198,8 @@ def _solve_bundled(dtrtrs, L: np.ndarray) -> np.ndarray:
     L = np.ascontiguousarray(L)
     inv = np.zeros(L.shape)
     inv.reshape(-1, p * p)[:, :: p + 1] = 1.0
-    # N = NRHS = LDA = LDB = p, then INFO; per call, as callers may run
-    # concurrently in threads
+    # N = NRHS = LDA = LDB = p, then INFO, which dtrtrs writes and the loop
+    # checks after each matrix; built per call because p is the call's
     dims = (ctypes.c_int64 * 2)(p, 0)
     n = ctypes.addressof(dims)
     info = n + 8
@@ -239,11 +239,9 @@ def spectrum(a) -> np.ndarray:
 
 def eig_diagnostics(a, vals=None):
     """(smallest eigenvalue, largest eigenvalue, their ratio) of each matrix
-    of ``a``: floats for one matrix, arrays of the batch shape for a stack.
-    A caller that already holds ``spectrum(a)`` passes it as ``vals``."""
+    of ``a``, each of the batch shape (numpy scalars for one matrix). A
+    caller that already holds ``spectrum(a)`` passes it as ``vals``."""
     vals = spectrum(a) if vals is None else vals
     lo, hi = vals[..., 0], vals[..., -1]
     cond = np.divide(hi, lo, out=np.full(lo.shape, np.inf), where=lo != 0.0)
-    if vals.ndim == 1:
-        return float(lo), float(hi), float(cond)
-    return lo, hi, cond
+    return lo[()], hi[()], cond[()]

@@ -45,7 +45,6 @@ __all__ = [
     "VARIANTS",
     "column_map",
     "forward",
-    "g_eval",
     "init_params",
     "load_checkpoint",
     "make_update_fns",
@@ -230,23 +229,13 @@ def column_map(ctx: core.ColumnContext, params: ModelParams) -> Tensor:
     return ad.soft_threshold(z, lam)
 
 
-def g_eval(theta22: Tensor, s22: Tensor, schur_quad: Tensor,
-           params: ModelParams) -> Tensor:
-    """Strictly positive margin from the pivot features, shape ``(..., 1)``.
-
-    The absolute-value output can land exactly on zero, so the g net adds
-    a floor of ``G_FLOOR`` inside its op, keeping the margin in the open
-    cone.
-    """
-    return params.nets["g"](theta22, s22, schur_quad)
-
-
 def make_update_fns(params: ModelParams) -> core.UpdateFns:
     def f(ctx):
         return column_map(ctx, params)
 
     def g(ctx, u, schur_quad):
-        return g_eval(ctx.theta22, ctx.s22, schur_quad, params)
+        # the margin, shape (..., 1), kept off zero by the g net's G_FLOOR
+        return params.nets["g"](ctx.theta22, ctx.s22, schur_quad)
 
     return core.UpdateFns(f=f, g=g)
 

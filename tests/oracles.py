@@ -99,14 +99,17 @@ def finite_diff_check(loss_fn: Callable[[], Tensor], params: Sequence[Tensor],
     ``loss_fn`` evaluates the scalar loss from the parameters' current
     values. It runs once under a fresh tape for the gradients, then twice
     per parameter entry, without recording, for the central differences.
-    The relative error uses max(1, |central|) as denominator.
+    A loss no parameter reaches is not recorded, and its gradients are
+    zero. The relative error uses max(1, |central|) as denominator.
     """
     if h <= 0:
         raise ValueError("finite_diff_check requires h > 0")
     params = list(params)
     zero_grad(params)
     with Tape() as tape:
-        tape.backward(loss_fn())
+        loss = loss_fn()
+        if loss.requires_grad:
+            tape.backward(loss)
     worst = 0.0
     for p in params:
         flat = p.data.reshape(-1)

@@ -16,11 +16,6 @@ def _mlp(widths, seed, out_activation="identity"):
     return random_mlp(MlpSpec(tuple(widths), out_activation), np.random.default_rng(seed))
 
 
-def _quad(z, m):
-    # quadratic_form with the products its caller, the layer, passes
-    return ad.quadratic_form(z, m, np.vecmat(z.data, m.data), np.matvec(m.data, z.data))
-
-
 def _grads(loss_fn, *leaves):
     """Each leaf's gradient of ``loss_fn()``, from a fresh tape."""
     ad.zero_grad(leaves)
@@ -61,10 +56,6 @@ class TestSoftThreshold:
 
 
 class TestElementwise:
-    def test_quadratic_form_identity(self):
-        q = _quad(Tensor([1.0, 1.0]), Tensor(np.eye(2)))
-        assert q.data == 2.0
-
     def test_grad_of_squared_norm(self):
         # both operands are x: the tape adds the two adjoints
         x = ad.parameter([1.0, 2.0])
@@ -117,6 +108,22 @@ class TestBackward:
         combined = run(lambda x: sub(scale(weighted_sum(x, x), a),
                                      scale(total(x), -b)))
         assert np.abs(combined - (a * gf + b * gg)).max() <= 1e-12
+
+    def test_loss_not_recorded_on_this_tape_rejected(self):
+        # a loss built with no tape open, or recorded on another tape, would
+        # leave every gradient at None; backward refuses it instead
+        x = ad.parameter([1.0, 2.0])
+        unrecorded = weighted_sum(x, x)
+        with Tape() as other:
+            foreign = weighted_sum(x, x)
+        for loss in (unrecorded, foreign):
+            with Tape() as tape:
+                total(x)
+                with pytest.raises(RuntimeError, match="not recorded on this tape"):
+                    tape.backward(loss)
+            assert x.grad is None
+        other.backward(foreign)
+        assert np.array_equal(x.grad, [2.0, 4.0])
 
     def test_double_backward_doubles_exactly(self):
         x = ad.parameter([1.0, -2.0, 0.5])
@@ -181,13 +188,6 @@ class TestPrimitiveGradients:
     def test_scale_and_neg(self):
         self._check(lambda a: total(mul(scale(a, 1.7), a)), 1, 13)
 
-    def test_quadratic_form(self):
-        rng = np.random.default_rng(17)
-        z = ad.parameter(rng.standard_normal(4))
-        m = ad.parameter(rng.standard_normal((4, 4)))
-        err = finite_diff_check(lambda: _quad(z, m), [z, m])
-        assert err <= self.TOL
-
     def test_soft_threshold_non_kink(self):
         rng = np.random.default_rng(22)
         x = ad.parameter(rng.standard_normal(4) * 3.0 + 4.0)
@@ -208,17 +208,6 @@ class TestBatchAxis:
         cot = Tensor(np.random.default_rng(seed).standard_normal(out_shape))
         err = finite_diff_check(lambda: weighted_sum(build(*params), cot), params)
         assert err <= self.TOL
-
-    def test_quadratic_form(self):
-        rng = np.random.default_rng(35)
-        z = ad.parameter(rng.standard_normal((3, 4)))
-        m = ad.parameter(rng.standard_normal((3, 4, 4)))
-        q = _quad(z, m)
-        assert q.data.shape == (3,)
-        for b in range(3):
-            single = float(_quad(Tensor(z.data[b]), Tensor(m.data[b])).data)
-            assert abs(q.data[b] - single) <= 1e-12 * abs(single)
-        self._check(_quad, [z, m], 36)
 
     def test_soft_threshold(self):
         rng = np.random.default_rng(37)

@@ -11,7 +11,7 @@ from spodnet import autodiff as ad
 from spodnet import core, datagen, linalg, models
 from spodnet.autodiff import Tape, Tensor
 from spodnet.core import (LayerConfig, SpdState, SpdViolation, UpdateFns,
-                          bauer_fike_check, rank2_delta_eigs,
+                          bauer_fike_check, rank2_delta_eigs, schur_quadratic,
                           stabilize_preactivation, theta11_inverse,
                           theta11_inverse_np, theta_plus, theta_plus_np,
                           w_plus)
@@ -30,8 +30,14 @@ def _random_spd(rng, p, shift=1.0):
 def _theta_plus(theta, u, v, m, i):
     """:func:`theta_plus` with the products it takes computed from its own
     inputs, so that central differences move them too."""
-    return theta_plus(theta, u, v, m, i, np.vecmat(u.data, m.data),
-                      np.matvec(m.data, u.data))
+    mu = np.matvec(m.data, u.data)
+    return theta_plus(theta, u, v, m, i, mu, np.vecmat(u.data, m.data) + mu)
+
+
+def _schur(u, m):
+    """:func:`schur_quadratic` with the products the layer passes."""
+    um = np.vecmat(u.data, m.data)
+    return schur_quadratic(u, m, um, um + np.matvec(m.data, u.data))
 
 
 def _w_plus(m, u, v, i):
@@ -300,6 +306,90 @@ class TestBlockOpAdjointsBatched(TestBlockOpAdjoints):
     each sample also matches its unbatched result."""
 
     BATCH = (3,)
+
+
+class TestSchurQuadratic:
+    def test_identity(self):
+        q = _schur(Tensor([1.0, 1.0]), Tensor(np.eye(2)))
+        assert q.data == 2.0
+
+    def test_adjoints(self):
+        # an asymmetric M checks that the u adjoint uses M + M', not 2M
+        rng = np.random.default_rng(17)
+        u = ad.parameter(rng.standard_normal(4))
+        m = ad.parameter(rng.standard_normal((4, 4)))
+        assert finite_diff_check(lambda: _schur(u, m), [u, m]) <= 1e-5
+
+    def test_batch(self):
+        rng = np.random.default_rng(35)
+        u = ad.parameter(rng.standard_normal((3, 4)))
+        m = ad.parameter(rng.standard_normal((3, 4, 4)))
+        q = _schur(u, m)
+        assert q.data.shape == (3,)
+        for b in range(3):
+            single = float(_schur(Tensor(u.data[b]), Tensor(m.data[b])).data)
+            assert abs(q.data[b] - single) <= 1e-12 * abs(single)
+        cot = Tensor(rng.standard_normal(3))
+        assert finite_diff_check(lambda: weighted_sum(_schur(u, m), cot), [u, m]) <= 1e-7
+
+    def test_shapes_checked(self):
+        # one vector against a stack of matrices: no broadcasting
+        with pytest.raises(ad.ShapeError):
+            schur_quadratic(Tensor(np.ones(3)), Tensor(np.ones((2, 3, 3))), np.ones(3), None)
+
+
+def test_quadratic_adjoints_keep_their_bits():
+    """On a stack whose inverse block needs a gradient, as in full mode, the
+    adjoints of the Schur quadratic, theta_plus and the stabilizer equal the
+    expressions each op wrote out for itself before they shared one helper,
+    bit for bit."""
+    rng = np.random.default_rng(47)
+    batch, p, i = (3,), 6, 2
+    theta = np.stack([_random_spd(rng, p) for _ in range(3)])
+    skew = rng.standard_normal(batch + (p - 1, p - 1))
+    md = np.linalg.inv(theta[:, 1:, 1:]) + 0.1 * (skew - skew.mT)
+    ud = rng.standard_normal(batch + (p - 1,))
+    um, mu = np.vecmat(ud, md), np.matvec(md, ud)
+    outer = ud[..., :, None] * ud[..., None, :]
+
+    def grads(op, leaves, cot):
+        ad.zero_grad(leaves)
+        with Tape() as tape:
+            tape.backward(weighted_sum(op(*leaves), Tensor(cot)))
+        return [t.grad for t in leaves]
+
+    u, m = ad.parameter(ud), ad.parameter(md)
+    g = rng.standard_normal(batch)
+    du, dm = grads(_schur, [u, m], g)
+    assert np.array_equal(du, g[..., None] * (um + mu))
+    assert np.array_equal(dm, g[..., None][..., None] * outer)
+
+    t, v = ad.parameter(theta), ad.parameter(np.full(batch + (1,), 0.7))
+    g = rng.standard_normal(batch + (p, p))
+    dt, du, dv, dm = grads(partial(_theta_plus, i=i), [t, u, v, m], g)
+    rest = linalg.rest_indices(p, i)
+    gii = g[..., i, i]
+    want_t = g.copy()
+    want_t[..., i, :] = 0.0
+    want_t[..., :, i] = 0.0
+    assert np.array_equal(dt, want_t)
+    assert np.array_equal(du, g[..., :, i].take(rest, axis=-1) + g[..., i, :].take(rest, axis=-1)
+                          + gii[..., None] * (um + mu))
+    assert np.array_equal(dv, gii.reshape(batch + (1,)))
+    assert np.array_equal(dm, gii[..., None, None] * outer)
+
+    zeta = 2.5
+    g = rng.standard_normal(batch + (p - 1,))
+    dz, dm = grads(partial(stabilize_preactivation, zeta=zeta), [u, m], g)
+    q = np.vecdot(um, ud)
+    live = q > core.QUAD_GUARD
+    c = float(np.sqrt(zeta))
+    tq = np.sqrt(np.where(live, q, 1.0))
+    r = 1.0 / tq
+    s = np.where(live, r * c, 1.0)[..., None]
+    dq = np.where(live, -((g * ud).sum(axis=-1) * c) * r * r * (0.5 / tq), 0.0)[..., None]
+    assert np.array_equal(dz, g * s + dq * (um + mu))
+    assert np.array_equal(dm, dq[..., None] * outer)
 
 
 class TestStabilizer:

@@ -1,6 +1,7 @@
 """Update-map variants, margin network, initialization, checkpoints."""
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from spodnet import autodiff as ad
 from spodnet import baselines, core, datagen, linalg, models
 from spodnet.autodiff import Tensor
 from spodnet.core import ColumnContext, LayerConfig
-from spodnet.models import (VARIANTS, g_eval, init_params, load_checkpoint,
-                            save_checkpoint)
+from spodnet.models import VARIANTS, init_params, load_checkpoint, save_checkpoint
 
 from oracles import (broadcast_to, finite_diff_check, mul, random_mlp, scale, sub,
                      weighted_sum)
@@ -110,10 +110,9 @@ def _composed_grad_step(ctx, params):
     return sub(ctx.theta12, mul(broadcast_to(gamma, diff.data.shape), diff))
 
 
-def _composed_g_eval(theta22, s22, schur_quad, params):
-    # the same weights without the floor, the features stacked by one op and
-    # the floor added by another
-    net = params.nets["g"]
+def _composed_g_eval(net, theta22, s22, schur_quad):
+    # the g net's weights without the floor, the features stacked by one op
+    # and the floor added by another
     bare = models.Mlp(replace(net.spec, floor=0.0), net.weights, net.biases)
     out = bare(_stack_scalars((theta22, s22, schur_quad)))
     return sub(out, broadcast_to(Tensor([-models.G_FLOOR]), out.data.shape))
@@ -184,14 +183,15 @@ class TestFusedOps:
         if s22_leaf:
             leaves.append(s22)
         cot = rng.standard_normal(batch + (1,))
-        out, grads, nodes = _run(lambda: g_eval(theta22, s22, quad, params), leaves, cot)
+        net = params.nets["g"]
+        out, grads, nodes = _run(lambda: net(theta22, s22, quad), leaves, cot)
         ref_out, ref_grads, ref_nodes = _run(
-            lambda: _composed_g_eval(theta22, s22, quad, params), leaves, cot)
+            lambda: _composed_g_eval(net, theta22, s22, quad), leaves, cot)
         assert np.array_equal(out, ref_out)
         _assert_bit_equal(grads, ref_grads)
         assert (nodes, ref_nodes) == (1, 3)
         err = finite_diff_check(
-            lambda: weighted_sum(g_eval(theta22, s22, quad, params), Tensor(cot)), leaves)
+            lambda: weighted_sum(net(theta22, s22, quad), Tensor(cot)), leaves)
         assert err <= 1e-7
 
     @pytest.mark.parametrize("batch", [(), (3,)])
@@ -237,7 +237,7 @@ class TestFusedOps:
 
         fused = run()
         monkeypatch.setattr(models, "_grad_step", _composed_grad_step)
-        monkeypatch.setattr(models, "g_eval", _composed_g_eval)
+        monkeypatch.setitem(params.nets, "g", partial(_composed_g_eval, params.nets["g"]))
         _assert_bit_equal(fused, run())
 
     # Per pivot, ubg records 10 ops: theta12, theta22, the gamma net, the
@@ -476,11 +476,11 @@ class TestFE2e:
         assert np.abs(got - expected).max() <= 1e-12
 
 
-class TestGEval:
+class TestMarginNet:
     def test_zero_network_hits_floor(self):
         params = init_params("ubg", 4, seed=0)
         _zero_net(params.nets["g"])
-        v = g_eval(Tensor(1.0), Tensor(2.0), Tensor(0.5), params)
+        v = params.nets["g"](Tensor(1.0), Tensor(2.0), Tensor(0.5))
         assert v.data[0] == models.G_FLOOR
 
     def test_selector_weights_pass_theta22(self):
@@ -489,7 +489,7 @@ class TestGEval:
         _zero_net(g)
         for w in g.weights:  # route the first feature through every layer
             w.data[0, 0] = 1.0
-        v = g_eval(Tensor(2.0), Tensor(5.0), Tensor(0.25), params)
+        v = g(Tensor(2.0), Tensor(5.0), Tensor(0.25))
         assert v.data[0] == pytest.approx(2.0 + models.G_FLOOR)
 
     def test_always_strictly_positive(self):
@@ -497,10 +497,9 @@ class TestGEval:
         for seed in range(5):
             params = init_params("ubg", 4, seed=seed)
             for _ in range(50):
-                v = g_eval(Tensor(float(rng.standard_normal() * 10)),
-                           Tensor(float(rng.standard_normal() * 10)),
-                           Tensor(float(np.abs(rng.standard_normal()))),
-                           params)
+                v = params.nets["g"](Tensor(float(rng.standard_normal() * 10)),
+                                     Tensor(float(rng.standard_normal() * 10)),
+                                     Tensor(float(np.abs(rng.standard_normal()))))
                 assert v.data[0] > 0.0
 
     def test_gamma_lambda_outputs_nonnegative(self):
